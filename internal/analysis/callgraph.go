@@ -57,8 +57,8 @@ type cgNode struct {
 	obj *types.Func
 	pkg *Package
 	// name is the stable display name, module-relative:
-	// "internal/sim.NewEnv", "(*internal/block.Layer).dispatcher", or
-	// "(*internal/block.Layer).dispatcher$1" for a literal.
+	// "internal/sim.NewEnv", "(*internal/block.Layer).dispatchStep", or
+	// "(*internal/block.Layer).dispatchStep$1" for a literal.
 	name string
 	pos  token.Pos
 
@@ -485,10 +485,9 @@ func modulePackage(modPath, path string) bool {
 // inside the event loop. These callbacks are documented "must not block":
 // they run on the single event-loop goroutine between process switches.
 // The set covers the run-to-completion core's whole handler surface —
-// timer scheduling, named handler bodies, and the parked-continuation
-// variants the converted kernel daemons block through. (sim.Env.Go is
-// deliberately absent: process bodies MAY block — that is the coroutine
-// API's whole point.)
+// timer scheduling and the parked-continuation variants the kernel daemons
+// block through. (sim.Env.Go is deliberately absent: process bodies MAY
+// block — that is the coroutine API's whole point.)
 func (b *cgBuilder) handlerRegistration(fn *types.Func) (argIdx int, ok bool) {
 	if fn.Pkg() == nil || fn.Pkg().Path() != b.m.ModPath+"/internal/sim" {
 		return 0, false
@@ -499,8 +498,6 @@ func (b *cgBuilder) handlerRegistration(fn *types.Func) (argIdx int, ok bool) {
 		return 1, true // Schedule(d time.Duration, fn func())
 	case recv == "Env" && fn.Name() == "ScheduleAt":
 		return 1, true // ScheduleAt(at Time, fn func())
-	case recv == "Env" && fn.Name() == "NewHandler":
-		return 1, true // NewHandler(name string, fn func())
 	case recv == "Completion" && fn.Name() == "OnComplete":
 		return 0, true // OnComplete(fn func())
 	case recv == "Completion" && fn.Name() == "WaitFn":
@@ -623,7 +620,7 @@ func (g *callGraph) hotRoots() map[*cgNode]string {
 	}
 	for _, n := range g.nodes {
 		if n.handler {
-			roots[n] = "event-loop callback (sim handler registration: Schedule/ScheduleAt/NewHandler/OnComplete/WaitFn/WaitTimeoutFn/WaitAllFn)"
+			roots[n] = "event-loop callback (sim handler registration: Schedule/ScheduleAt/OnComplete/WaitFn/WaitTimeoutFn/WaitAllFn)"
 		}
 		if n.hot && n.enclosing == nil {
 			roots[n] = "//splitlint:hot function"

@@ -19,12 +19,11 @@ import (
 //
 // Roots (see callgraph.go): module implementations of block.Elevator's
 // Add/Next/Completed; callbacks registered at any sim handler registration
-// point — Env.Schedule/ScheduleAt, Env.NewHandler bodies,
-// Completion.OnComplete/WaitFn, WaitQueue.WaitFn/WaitTimeoutFn, and
-// sim.WaitAllFn continuations (the parked-continuation surface the
-// run-to-completion kernel daemons block through); //splitlint:hot-annotated
-// functions. sim.Env.Go bodies are NOT roots: processes are coroutines and
-// may block.
+// point — Env.Schedule/ScheduleAt, Completion.OnComplete/WaitFn,
+// WaitQueue.WaitFn/WaitTimeoutFn, and sim.WaitAllFn continuations (the
+// parked-continuation surface the run-to-completion kernel daemons block
+// through); //splitlint:hot-annotated functions. sim.Env.Go bodies are NOT
+// roots: processes are coroutines and may block.
 //
 // Violations in the reachable set: goroutine spawns, channel operations
 // (send/recv/select/range), blocking stdlib calls (mutex lock, WaitGroup /
@@ -119,7 +118,7 @@ func runHotPurity(m *Module) {
 }
 
 // chainString renders the call chain from the root down to n, e.g.
-// "reachable via (*internal/block.Layer).dispatcher -> internal/sched/afq.pump".
+// "reachable via (*internal/block.Layer).dispatchStep -> internal/sched/afq.pump".
 func chainString(parent map[*cgNode]*cgNode, roots map[*cgNode]string, n *cgNode) string {
 	var names []string
 	for cur := n; cur != nil; cur = parent[cur] {

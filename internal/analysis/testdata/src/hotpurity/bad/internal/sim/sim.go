@@ -33,8 +33,3 @@ func (c *Completion) WaitFn(fn func()) { _ = fn }
 
 // WaitAllFn is the stub continuation barrier.
 func WaitAllFn(cs []*Completion, k func()) { _ = cs; _ = k }
-
-// Handler is a stub named-handler handle.
-type Handler struct{}
-
-func (e *Env) NewHandler(name string, fn func()) *Handler { _ = name; _ = fn; return nil }

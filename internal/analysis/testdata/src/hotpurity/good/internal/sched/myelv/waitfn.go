@@ -11,8 +11,8 @@ import (
 // handler conversions of the kernel daemons look like this, and none of it
 // may be flagged.
 
-// ArmWaiters parks pure continuations on queues, completions, and a named
-// handler body.
+// ArmWaiters parks pure continuations on queues and completions, and
+// schedules a pure callback.
 func ArmWaiters(env *sim.Env, q *sim.WaitQueue, c *sim.Completion) {
 	q.WaitFn(func(sig bool) {
 		_ = util.Cost(1)
@@ -22,7 +22,7 @@ func ArmWaiters(env *sim.Env, q *sim.WaitQueue, c *sim.Completion) {
 		_ = util.Cost(2)
 	})
 	sim.WaitAllFn(nil, barrier)
-	env.NewHandler("pump", pump)
+	env.Schedule(0, pump)
 }
 
 // expire re-arms itself through the queue it came from — the daemon idle
@@ -36,7 +36,7 @@ func barrier() {
 	_ = util.Cost(4)
 }
 
-// pump is a pure named handler body.
+// pump is a pure scheduled callback.
 func pump() {
 	_ = util.Cost(5)
 }

@@ -48,21 +48,6 @@ func TestFIFOOrder(t *testing.T) {
 	env.Close()
 }
 
-func TestSubmitAndWait(t *testing.T) {
-	env, l := newTestLayer(NewFIFO())
-	var elapsed time.Duration
-	env.Go("client", func(p *sim.Proc) {
-		start := p.Now()
-		l.SubmitAndWait(p, &Request{Op: device.Read, LBA: 1, Blocks: 1})
-		elapsed = p.Now().Sub(start)
-	})
-	env.RunAll()
-	if elapsed <= 0 {
-		t.Fatal("SubmitAndWait returned instantly")
-	}
-	env.Close()
-}
-
 func TestStats(t *testing.T) {
 	env, l := newTestLayer(NewFIFO())
 	l.Submit(&Request{Op: device.Read, LBA: 1, Blocks: 2})

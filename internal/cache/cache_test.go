@@ -253,11 +253,10 @@ func TestWritebackFnCalled(t *testing.T) {
 	env, c := newTestCache(cfg)
 	defer env.Close()
 	flushed := 0
-	c.SetWriteback(func(p *sim.Proc, ino int64, max int) int {
+	c.SetWritebackAsync(func(ino int64, max int, done func(n int)) {
 		idxs, _ := c.TakeDirty(ino, max)
 		flushed += len(idxs)
-		p.Sleep(time.Millisecond)
-		return len(idxs)
+		env.Schedule(time.Millisecond, func() { done(len(idxs)) })
 	})
 	env.Go("writer", func(p *sim.Proc) {
 		ctx := testCtx(10)
@@ -296,13 +295,12 @@ func TestFlushAsyncPrioritizesFile(t *testing.T) {
 	env, c := newTestCache(cfg)
 	defer env.Close()
 	var order []int64
-	c.SetWriteback(func(p *sim.Proc, ino int64, max int) int {
+	c.SetWritebackAsync(func(ino int64, max int, done func(n int)) {
 		idxs, _ := c.TakeDirty(ino, max)
 		if len(idxs) > 0 {
 			order = append(order, ino)
 		}
-		p.Sleep(time.Millisecond)
-		return len(idxs)
+		env.Schedule(time.Millisecond, func() { done(len(idxs)) })
 	})
 	env.Go("writer", func(p *sim.Proc) {
 		for ino := int64(1); ino <= 3; ino++ {

@@ -24,13 +24,6 @@ func (o Options) cellKey(experiment, config string) sweep.Key {
 	if o.Device != "" {
 		config += " device=" + o.Device
 	}
-	if o.Legacy {
-		// The engine changes nothing observable (that is the equivalence
-		// harness's claim), but a cached handler-engine payload must never
-		// satisfy a legacy-engine run or the harness would compare a result
-		// against itself.
-		config += " engine=legacy"
-	}
 	return sweep.NewKey(experiment, fmt.Sprintf("%s scale=%g", config, o.Scale), o.Seed)
 }
 

@@ -59,11 +59,11 @@ type PageCache interface {
 	FreeFile(ino int64)
 	// FileDirtyPages returns ino's dirty page count.
 	FileDirtyPages(ino int64) int64
-	// SetWriteback installs the function the cache calls to flush dirty
-	// pages of a file.
+	// SetWriteback installs the blocking function the cache's Writeback
+	// calls to flush dirty pages of a file.
 	SetWriteback(fn func(p *sim.Proc, ino int64, max int) int)
 	// SetWritebackAsync installs the continuation form of the writeback
-	// function, used by the run-to-completion engine: flush up to max dirty
+	// function, which the writeback daemon drives: flush up to max dirty
 	// pages of ino and invoke done(n) once the submitted writes complete.
 	SetWritebackAsync(fn func(ino int64, max int, done func(n int)))
 	// Misses returns the cumulative miss count (the VFS uses it to
@@ -211,19 +211,16 @@ type FS struct {
 	gcWake        *sim.WaitQueue
 	gcCtx         *ioctx.Ctx
 
-	// Run-to-completion engine state: continuations preallocated once so the
-	// daemons never build closures while parking (nil under the legacy
-	// coroutine engine).
+	// Daemon continuations, preallocated once so the run-to-completion
+	// daemons never build closures while parking.
 	jWakeFn  func(sig bool)
 	gcStepFn func()
 	gcWakeFn func(sig bool)
 
 	// Stats.
-	statCommits      int64
-	statJournalBlks  int64
-	statDataFlushed  int64
-	statOrderedFlush int64
-	statGCRelocated  int64
+	statCommits     int64
+	statJournalBlks int64
+	statGCRelocated int64
 }
 
 // New creates a file system over cache and blk. jctx and wbCtx are the
@@ -251,27 +248,19 @@ func New(env *sim.Env, cfg Config, c PageCache, blk *block.Layer, jctx, wbCtx *i
 	f.journalHead = 0
 	f.allocCursor = 1024
 	f.running = f.newTxn()
-	// The startup events mirror the legacy spawn order (jbd, jbd-timer, gc)
-	// so the two engines assign identical event sequence numbers at t=0.
-	if env.LegacyCoroutines() {
-		env.Go("jbd", f.journalTask)
-		env.Go("jbd-timer", f.commitTimer)
-	} else {
-		f.jWakeFn = func(sig bool) { f.journalStep() }
-		env.Schedule(0, f.journalStep)
-		env.Schedule(0, f.armCommitTimer)
-	}
+	// The daemons start with t=0 events in a fixed order (journal, commit
+	// timer, cleaner). t=0 startup events fire in construction order, which
+	// fixes their event sequence numbers; the schedule goldens pin it.
+	f.jWakeFn = func(sig bool) { f.journalStep() }
+	env.Schedule(0, f.journalStep)
+	env.Schedule(0, f.armCommitTimer)
 	if cfg.CopyOnWrite {
 		f.fileOwners = make(map[int64]causes.Set)
 		f.gcWake = sim.NewWaitQueue(env)
 		f.gcCtx = &ioctx.Ctx{PID: 4, Name: "gc", Prio: 4}
-		if env.LegacyCoroutines() {
-			env.Go("gc", f.gcTask)
-		} else {
-			f.gcStepFn = f.gcStep
-			f.gcWakeFn = func(sig bool) { f.gcStep() }
-			env.Schedule(0, f.gcStepFn)
-		}
+		f.gcStepFn = f.gcStep
+		f.gcWakeFn = func(sig bool) { f.gcStep() }
+		env.Schedule(0, f.gcStepFn)
 	}
 	c.SetWriteback(f.writebackFile)
 	c.SetWritebackAsync(f.writebackFileAsync)
@@ -541,7 +530,7 @@ type flushState struct {
 // any unmapped blocks (marking ctx as a proxy for the pages' causes while it
 // does delegation work), and submits the writes. It returns nil when there
 // was nothing to flush.
-func (f *FS) flushBegin(ctx *ioctx.Ctx, ino int64, max int, sync bool) *flushState {
+func (f *FS) flushBegin(ctx *ioctx.Ctx, ino int64, max int) *flushState {
 	file, ok := f.byIno[ino]
 	if !ok {
 		// Unlinked while dirty: nothing to do.
@@ -619,7 +608,7 @@ func (f *FS) flushBegin(ctx *ioctx.Ctx, ino int64, max int, sync bool) *flushSta
 	// Submit one request per contiguous on-disk run. Background writeback
 	// submits async requests even though the daemon waits for pacing —
 	// only fsync- and commit-driven writes are urgent at the block level.
-	reqSync := sync && ctx != f.wbCtx
+	reqSync := ctx != f.wbCtx
 	var dones []*sim.Completion
 	i = 0
 	f.inflight[ino] += len(idxs)
@@ -667,7 +656,6 @@ func (f *FS) flushBegin(ctx *ioctx.Ctx, ino int64, max int, sync bool) *flushSta
 		dones = append(dones, done)
 		i = j
 	}
-	f.statDataFlushed += int64(len(idxs))
 	return &flushState{
 		ctx: ctx, ino: ino, n: len(idxs), union: union,
 		flushStart: flushStart, proxied: proxied, dones: dones,
@@ -699,27 +687,25 @@ func (f *FS) flushEnd(st *flushState) {
 }
 
 // flushFileData is the blocking build of the flush path: flushBegin, wait
-// for the submitted writes when sync, flushEnd. It returns the number of
-// pages submitted.
-func (f *FS) flushFileData(p *sim.Proc, ctx *ioctx.Ctx, ino int64, max int, sync bool) int {
-	st := f.flushBegin(ctx, ino, max, sync)
+// for the submitted writes, flushEnd. It returns the number of pages
+// submitted.
+func (f *FS) flushFileData(p *sim.Proc, ctx *ioctx.Ctx, ino int64, max int) int {
+	st := f.flushBegin(ctx, ino, max)
 	if st == nil {
 		return 0
 	}
-	if sync {
-		for _, d := range st.dones {
-			d.Wait(p)
-		}
+	for _, d := range st.dones {
+		d.Wait(p)
 	}
 	f.flushEnd(st)
 	return st.n
 }
 
-// flushFileDataFn is the continuation build of flushFileData (always sync):
-// submit the runs, then invoke k with the page count once every submitted
-// write has completed.
+// flushFileDataFn is the continuation build of flushFileData: submit the
+// runs, then invoke k with the page count once every submitted write has
+// completed.
 func (f *FS) flushFileDataFn(ctx *ioctx.Ctx, ino int64, max int, k func(n int)) {
-	st := f.flushBegin(ctx, ino, max, true)
+	st := f.flushBegin(ctx, ino, max)
 	if st == nil {
 		k(0)
 		return
@@ -797,14 +783,14 @@ func (f *FS) pruneInflight(ino int64) {
 
 // writebackFile is the cache's WritebackFn: flush a batch of ino's dirty
 // pages on behalf of the writeback task (asynchronously submitted, but the
-// daemon waits so it paces itself at disk speed).
+// caller waits so it paces itself at disk speed).
 func (f *FS) writebackFile(p *sim.Proc, ino int64, max int) int {
-	return f.flushFileData(p, f.wbCtx, ino, max, true)
+	return f.flushFileData(p, f.wbCtx, ino, max)
 }
 
-// writebackFileAsync is the cache's continuation-form writeback under the
-// run-to-completion engine: flush a batch of ino's dirty pages on behalf of
-// the writeback task and report the count once the writes reach disk.
+// writebackFileAsync is the cache's continuation-form writeback, driven by
+// the writeback daemon: flush a batch of ino's dirty pages on behalf of the
+// writeback task and report the count once the writes reach disk.
 func (f *FS) writebackFileAsync(ino int64, max int, done func(n int)) {
 	f.flushFileDataFn(f.wbCtx, ino, max, done)
 }
@@ -816,7 +802,7 @@ func (f *FS) writebackFileAsync(ino int64, max int, done func(n int)) {
 func (f *FS) Fsync(p *sim.Proc, ctx *ioctx.Ctx, file *File) {
 	mk, _ := f.blk.Disk().(device.DurabilityMarker)
 	f.waitInflight(p, file.Ino)
-	f.flushFileData(p, ctx, file.Ino, 0, true)
+	f.flushFileData(p, ctx, file.Ino, 0)
 	// The durability promise covers media writes issued up to the end of the
 	// data flush; anything sneaking in between here and the commit barrier
 	// (another process's writeback) is not what this fsync acknowledged.
@@ -865,7 +851,7 @@ func (f *FS) SyncAll(p *sim.Proc, ctx *ioctx.Ctx) {
 	}
 	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
 	for _, ino := range inos {
-		f.flushFileData(p, ctx, ino, 0, true)
+		f.flushFileData(p, ctx, ino, 0)
 	}
 	var upTo int64
 	if mk != nil {
@@ -901,8 +887,8 @@ func (f *FS) requestCommit(t *txn) {
 	f.commitWake.Signal()
 }
 
-// armCommitTimer is the commit timer's t=0 startup event under the
-// run-to-completion engine, mirroring the legacy proc's first Sleep.
+// armCommitTimer is the commit timer's t=0 startup event: the first tick
+// fires one CommitInterval later.
 func (f *FS) armCommitTimer() {
 	f.env.Schedule(f.cfg.CommitInterval, f.commitTimerFire)
 }
@@ -913,17 +899,6 @@ func (f *FS) commitTimerFire() {
 		f.requestCommit(f.running)
 	}
 	f.env.Schedule(f.cfg.CommitInterval, f.commitTimerFire)
-}
-
-// commitTimer is the legacy coroutine build of the commit timer, kept only
-// for the differential equivalence harness (core.Options.LegacyCoroutines).
-func (f *FS) commitTimer(p *sim.Proc) {
-	for {
-		p.Sleep(f.cfg.CommitInterval)
-		if !f.running.empty() {
-			f.requestCommit(f.running)
-		}
-	}
 }
 
 // journalStep is one run-to-completion iteration of the journal daemon: pop
@@ -938,23 +913,9 @@ func (f *FS) journalStep() {
 	f.commitFn(t)
 }
 
-// journalTask is the legacy coroutine build of the jbd2-like kernel thread,
-// kept only for the differential equivalence harness.
-func (f *FS) journalTask(p *sim.Proc) {
-	for {
-		if len(f.commitQ) == 0 {
-			f.commitWake.Wait(p)
-			continue
-		}
-		t := f.commitQ[0]
-		f.commitQ = f.commitQ[1:]
-		f.commit(p, t)
-	}
-}
-
-// commitFn is the run-to-completion build of commit: the same ordered-mode
-// data pass and journal writes, expressed as a continuation chain over the
-// flush and request completions the legacy proc blocks on.
+// commitFn commits transaction t as a continuation chain over flush and
+// request completions: the ordered-mode data pass, then the journal writes
+// (commitJournalWrites).
 func (f *FS) commitFn(t *txn) {
 	if t == f.running {
 		f.running = f.newTxn()
@@ -963,12 +924,18 @@ func (f *FS) commitFn(t *txn) {
 	traced := f.tr.Enabled()
 	var commitStart sim.Time
 	if traced {
+		// The whole commit — ordered data flushes, journal writes, barrier —
+		// is one request tree keyed by the transaction's ID; stamping the
+		// journal task's context links every descendant span to it.
 		if t.req == 0 {
 			t.req = f.tr.NextReq()
 		}
 		f.jctx.Req = t.req
 		commitStart = f.env.Now()
 	}
+	// Ordered mode: every data dependency must reach disk before the
+	// commit record. This is the entanglement the split framework must
+	// work around (paper §2.3.2).
 	deps := make([]int64, 0, len(t.dataDeps))
 	for ino := range t.dataDeps {
 		deps = append(deps, ino)
@@ -987,7 +954,6 @@ func (f *FS) commitFn(t *txn) {
 		depStart := f.env.Now()
 		f.waitInflightFn(ino, func() {
 			f.flushFileDataFn(f.jctx, ino, 0, func(n int) {
-				f.statOrderedFlush += int64(n)
 				if traced {
 					f.tr.Record(trace.Event{
 						Layer: trace.LayerFS, Op: trace.OpOrderedFlush,
@@ -1004,8 +970,9 @@ func (f *FS) commitFn(t *txn) {
 }
 
 // commitJournalWrites finishes a commit chain after the ordered-mode data
-// pass: descriptor + metadata blocks, the commit-record barrier, then the
-// epilogue, and loop back into journalStep for the next queued transaction.
+// pass: descriptor + metadata blocks, the commit-record barrier (laid out
+// sequentially in the journal region), then the epilogue, and loop back
+// into journalStep for the next queued transaction.
 func (f *FS) commitJournalWrites(t *txn, traced bool, commitStart sim.Time) {
 	f.flushTxnID = 0
 	jcauses := causes.Of(f.jctx.PID)
@@ -1069,109 +1036,6 @@ func (f *FS) commitJournalWrites(t *txn, traced bool, commitStart sim.Time) {
 	})
 }
 
-// commit is the legacy coroutine build of the transaction commit, kept only
-// for the differential equivalence harness.
-func (f *FS) commit(p *sim.Proc, t *txn) {
-	if t == f.running {
-		f.running = f.newTxn()
-	}
-	f.committing = t
-	traced := f.tr.Enabled()
-	var commitStart sim.Time
-	if traced {
-		// The whole commit — ordered data flushes, journal writes, barrier —
-		// is one request tree keyed by the transaction's ID; stamping the
-		// journal task's context links every descendant span to it.
-		if t.req == 0 {
-			t.req = f.tr.NextReq()
-		}
-		f.jctx.Req = t.req
-		commitStart = f.env.Now()
-	}
-	// Ordered mode: every data dependency must reach disk before the
-	// commit record. This is the entanglement the split framework must
-	// work around (paper §2.3.2).
-	deps := make([]int64, 0, len(t.dataDeps))
-	for ino := range t.dataDeps {
-		deps = append(deps, ino)
-	}
-	sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
-	f.flushTxnID = t.id
-	for _, ino := range deps {
-		depStart := f.env.Now()
-		f.waitInflight(p, ino)
-		n := f.flushFileData(p, f.jctx, ino, 0, true)
-		f.statOrderedFlush += int64(n)
-		if traced {
-			f.tr.Record(trace.Event{
-				Layer: trace.LayerFS, Op: trace.OpOrderedFlush,
-				Req: t.req, PID: f.jctx.PID, Causes: t.tcauses,
-				Start: depStart, End: f.env.Now(), Ino: ino, Blocks: n,
-				Txn: t.id,
-			})
-		}
-	}
-	f.flushTxnID = 0
-	// Journal writes: descriptor + metadata blocks + commit record, laid
-	// out sequentially in the journal region.
-	jcauses := causes.Of(f.jctx.PID)
-	if f.cfg.TagJournalProxy {
-		f.jctx.BeginProxy(t.tcauses)
-		jcauses = f.jctx.Causes()
-	}
-	nblocks := t.metaBlocks + 1
-	if nblocks > f.cfg.JournalBlocks/2 {
-		nblocks = f.cfg.JournalBlocks / 2
-	}
-	lba := f.journalStart + f.journalHead
-	f.journalHead = (f.journalHead + nblocks + 1) % f.cfg.JournalBlocks
-	desc := &block.Request{
-		Op:        device.Write,
-		LBA:       lba,
-		Blocks:    int(nblocks),
-		Causes:    jcauses,
-		Submitter: f.jctx.PID,
-		Prio:      f.jctx.Prio,
-		Journal:   true,
-		Meta:      true,
-		Sync:      true,
-		TxnID:     t.id,
-		Req:       t.req,
-	}
-	f.blk.SubmitAndWait(p, desc)
-	commitRec := &block.Request{
-		Op:        device.Write,
-		LBA:       lba + nblocks,
-		Blocks:    1,
-		Causes:    jcauses,
-		Submitter: f.jctx.PID,
-		Prio:      f.jctx.Prio,
-		Journal:   true,
-		Meta:      true,
-		Sync:      true,
-		Barrier:   true,
-		TxnID:     t.id,
-		Req:       t.req,
-	}
-	f.blk.SubmitAndWait(p, commitRec)
-	if f.cfg.TagJournalProxy {
-		f.jctx.EndProxy()
-	}
-	if traced {
-		f.tr.Record(trace.Event{
-			Layer: trace.LayerFS, Op: trace.OpTxnCommit, Label: f.cfg.Name,
-			Req: t.req, PID: f.jctx.PID, Causes: t.tcauses,
-			Start: commitStart, End: f.env.Now(), Blocks: int(nblocks) + 1,
-			Txn: t.id, Flags: trace.FlagJournal | trace.FlagMeta,
-		})
-		f.jctx.Req = 0
-	}
-	f.statCommits++
-	f.statJournalBlks += nblocks + 1
-	f.committing = nil
-	t.done.Complete()
-}
-
 // RunningTxnInfo reports the running transaction's metadata block count and
 // the total dirty pages of its data dependencies — the quantities
 // Split-Deadline uses to estimate commit cost.
@@ -1199,12 +1063,6 @@ func (f *FS) Commits() int64 { return f.statCommits }
 
 // JournalBlocksWritten returns total journal blocks written.
 func (f *FS) JournalBlocksWritten() int64 { return f.statJournalBlks }
-
-// OrderedFlushPages returns pages flushed due to ordered-mode dependencies.
-func (f *FS) OrderedFlushPages() int64 { return f.statOrderedFlush }
-
-// DataPagesFlushed returns total data pages flushed.
-func (f *FS) DataPagesFlushed() int64 { return f.statDataFlushed }
 
 // FragmentationOf returns the number of extents of a file, a proxy for
 // layout quality used in tests.

@@ -13,7 +13,6 @@ package monitor
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -211,15 +210,4 @@ func (m *Monitor) RegisterMetrics(r *metrics.Registry) {
 	r.Gauge("monitor.ticks", func() float64 { return float64(m.ticks) })
 	r.Gauge("monitor.breaches", func() float64 { return float64(len(m.breach)) })
 	r.Gauge("monitor.trips", func() float64 { return float64(len(m.rec.dumps)) })
-}
-
-// sortedWindowKeys is used by tests and the bundle to walk streams
-// deterministically.
-func (m *Monitor) sortedWindowKeys() []sloKey {
-	keys := make([]sloKey, 0, len(m.windows))
-	for k := range m.windows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-	return keys
 }

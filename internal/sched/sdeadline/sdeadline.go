@@ -202,15 +202,6 @@ func (s *Sched) fsyncCost(file *fs.File) time.Duration {
 	return cost
 }
 
-// backlogCost estimates total device time to drain all dirty data.
-func (s *Sched) backlogCost() time.Duration {
-	var cost time.Duration
-	for _, ino := range s.k.Cache.DirtyFiles() {
-		cost += time.Duration(s.k.Cache.FileDirtyPages(ino)) * s.pageCost(ino)
-	}
-	return cost
-}
-
 // writeEntry throttles a writer when its own file's flush cost would
 // endanger deadlines: the split framework controls when writes become
 // visible to the file system, preventing orderings that conflict with

@@ -9,7 +9,6 @@
 package schedtest
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -21,73 +20,65 @@ import (
 
 // TestEventLoopInvariants runs the property workload under CFQ (the
 // scheduler with the busiest timer behavior: anticipation idling plus
-// epoch rotation) on both engines and asserts the loop contract holds
-// identically for handler daemons and legacy coroutine daemons.
+// epoch rotation) and asserts the loop contract holds for the
+// run-to-completion handler daemons.
 func TestEventLoopInvariants(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		legacy := legacy
-		name := "handler"
-		if legacy {
-			name = "legacy"
-		}
-		t.Run(name, func(t *testing.T) {
-			opts := core.DefaultOptions()
-			opts.Seed = 1
-			opts.LegacyCoroutines = legacy
-			cc := SmallCache()
-			opts.Cache = &cc
-			env := sim.NewEnv(1)
-			k := core.NewKernelOn(env, opts, cfq.Factory)
-			defer env.Close()
+	t.Run("handler", func(t *testing.T) {
+		opts := core.DefaultOptions()
+		opts.Seed = 1
+		cc := SmallCache()
+		opts.Cache = &cc
+		env := sim.NewEnv(1)
+		k := core.NewKernelOn(env, opts, cfq.Factory)
+		defer env.Close()
 
-			before := env.Stats()
-			var calls int64
-			stale := 0
-			backwards := 0
-			last := sim.Time(-1)
-			env.SetEventObserver(func(at sim.Time) {
-				calls++
-				if at < last {
-					backwards++
-				}
-				last = at
-				if at != env.Now() {
-					stale++
-				}
-			})
-
-			spec, err := workload.Parse(propWorkload)
-			if err != nil {
-				t.Fatalf("bad property workload: %v", err)
+		before := env.Stats()
+		var calls int64
+		stale := 0
+		backwards := 0
+		last := sim.Time(-1)
+		env.SetEventObserver(func(at sim.Time) {
+			calls++
+			if at < last {
+				backwards++
 			}
-			spec.Spawn(k)
-			k.Run(5 * time.Minute)
-			env.SetEventObserver(nil)
-
-			after := env.Stats()
-			delta := after.Events - before.Events
-			if calls != delta {
-				t.Errorf("observer ran %d times but Stats().Events grew by %d", calls, delta)
+			last = at
+			if at != env.Now() {
+				stale++
 			}
-			if calls == 0 {
-				t.Fatalf("observer never ran; the workload executed no events")
-			}
-			if backwards != 0 {
-				t.Errorf("virtual time went backwards across %d events", backwards)
-			}
-			if stale != 0 {
-				t.Errorf("%d events ran against a stale Env.Now()", stale)
-			}
-			// The high-water mark is exact (see sim.TestHeapMaxExact); here
-			// just pin it to a sane band: more than a handful of standing
-			// timers, nowhere near the event total (which would mean the
-			// loop was hoarding instead of draining).
-			if hm := int64(after.HeapMax); hm < 4 || hm > delta/2 {
-				t.Errorf("heap high-water %d outside sane band [4, %d] for %d events",
-					after.HeapMax, delta/2, delta)
-			}
-			t.Logf("%s: %d events, %d switches, heap high-water %d",
-				fmt.Sprintf("cfq/%s", name), delta, after.Switches-before.Switches, after.HeapMax)
 		})
-	}
+
+		spec, err := workload.Parse(propWorkload)
+		if err != nil {
+			t.Fatalf("bad property workload: %v", err)
+		}
+		spec.Spawn(k)
+		k.Run(5 * time.Minute)
+		env.SetEventObserver(nil)
+
+		after := env.Stats()
+		delta := after.Events - before.Events
+		if calls != delta {
+			t.Errorf("observer ran %d times but Stats().Events grew by %d", calls, delta)
+		}
+		if calls == 0 {
+			t.Fatalf("observer never ran; the workload executed no events")
+		}
+		if backwards != 0 {
+			t.Errorf("virtual time went backwards across %d events", backwards)
+		}
+		if stale != 0 {
+			t.Errorf("%d events ran against a stale Env.Now()", stale)
+		}
+		// The high-water mark is exact (see sim.TestHeapMaxExact); here just
+		// pin it to a sane band: more than a handful of standing timers,
+		// nowhere near the event total (which would mean the loop was hoarding
+		// instead of draining).
+		if hm := int64(after.HeapMax); hm < 4 || hm > delta/2 {
+			t.Errorf("heap high-water %d outside sane band [4, %d] for %d events",
+				after.HeapMax, delta/2, delta)
+		}
+		t.Logf("cfq: %d events, %d switches, heap high-water %d",
+			delta, after.Switches-before.Switches, after.HeapMax)
+	})
 }

@@ -3,14 +3,17 @@
 // work conservation (the device never idles long while requests are
 // queued), no starvation (every finite workload process finishes), and
 // determinism (same seed, same trace; different seed, same completion set).
-// The matrix is fanned across the host with the sweep engine, which also
-// exercises the runner's canonical-order merge under -race.
+// Every cell's schedule is also pinned by a committed golden
+// (testdata/props_golden.json). The matrix is fanned across the host with
+// the sweep engine, which also exercises the runner's canonical-order merge
+// under -race.
 
 package schedtest
 
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 	"testing"
 	"time"
@@ -84,13 +87,12 @@ type propResult struct {
 	Events int `json:"events"`
 }
 
-// runPropCell runs the canonical workload under one (scheduler, seed,
-// engine) and extracts the property payload. It is called from sweep worker
-// goroutines, so it touches nothing but its own kernel.
-func runPropCell(factory core.Factory, seed int64, legacy bool) propResult {
+// runPropCell runs the canonical workload under one (scheduler, seed) and
+// extracts the property payload. It is called from sweep worker goroutines,
+// so it touches nothing but its own kernel.
+func runPropCell(factory core.Factory, seed int64) propResult {
 	opts := core.DefaultOptions()
 	opts.Seed = seed
-	opts.LegacyCoroutines = legacy
 	cc := SmallCache()
 	opts.Cache = &cc
 	k := core.NewKernelOn(sim.NewEnv(seed), opts, factory)
@@ -194,18 +196,13 @@ func idleWhileQueued(events []trace.Event) time.Duration {
 }
 
 // propCellKey labels one matrix cell for the sweep cache and error output.
-func propCellKey(sched string, seed int64, legacy bool) sweep.Key {
-	config := "sched=" + sched
-	if legacy {
-		config += " engine=legacy"
-	}
-	return sweep.Key{Experiment: "schedtest-props", Config: config, Seed: seed, Version: "test"}
+func propCellKey(sched string, seed int64) sweep.Key {
+	return sweep.Key{Experiment: "schedtest-props", Config: "sched=" + sched, Seed: seed, Version: "test"}
 }
 
 // runPropMatrix fans the full (scheduler × seed) matrix through the sweep
-// runner on the given engine and returns the decoded payloads indexed
-// [scheduler][seed].
-func runPropMatrix(t *testing.T, seeds int, legacy bool) [][]propResult {
+// runner and returns the decoded payloads indexed [scheduler][seed].
+func runPropMatrix(t *testing.T, seeds int) [][]propResult {
 	t.Helper()
 	cells := make([]sweep.Cell, 0, len(propSchedulers)*seeds)
 	for _, s := range propSchedulers {
@@ -213,9 +210,9 @@ func runPropMatrix(t *testing.T, seeds int, legacy bool) [][]propResult {
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			seed := seed
 			cells = append(cells, sweep.Cell{
-				Key: propCellKey(s.name, seed, legacy),
+				Key: propCellKey(s.name, seed),
 				Run: func() ([]byte, error) {
-					return json.Marshal(runPropCell(factory, seed, legacy))
+					return json.Marshal(runPropCell(factory, seed))
 				},
 			})
 		}
@@ -247,15 +244,47 @@ func propSeedCount() int {
 	return propSeeds
 }
 
+// propGoldenPath holds one {sched, seed, hash, events} line per matrix
+// cell: the schedule every cell produced when it was last deliberately
+// changed. The hash covers the whole trace, so it also pins MaxIdleNS.
+const propGoldenPath = "testdata/props_golden.json"
+
+// propGolden is one cell's pinned schedule.
+type propGolden struct {
+	Sched  string `json:"sched"`
+	Seed   int64  `json:"seed"`
+	Hash   string `json:"hash"`
+	Events int    `json:"events"`
+}
+
+// loadPropGoldens reads the committed goldens, keyed "sched/seedN".
+func loadPropGoldens(t *testing.T) map[string]propGolden {
+	t.Helper()
+	data, err := os.ReadFile(propGoldenPath)
+	if err != nil {
+		t.Fatalf("read goldens: %v", err)
+	}
+	var cells []propGolden
+	if err := json.Unmarshal(data, &cells); err != nil {
+		t.Fatalf("parse %s: %v", propGoldenPath, err)
+	}
+	out := make(map[string]propGolden, len(cells))
+	for _, g := range cells {
+		out[fmt.Sprintf("%s/seed%d", g.Sched, g.Seed)] = g
+	}
+	return out
+}
+
 // TestSchedulerProperties runs the full matrix once and checks, per cell:
-// no starvation (exact completion), bounded idle-while-queued, and a
-// non-trivial trace; then across cells: the completion set is identical
-// for every scheduler and every seed, while the trace hashes diverge
-// across seeds (the metamorphic complement — if they did not, the
-// determinism property would be vacuous).
+// no starvation (exact completion), bounded idle-while-queued, a
+// non-trivial trace, and the committed schedule golden; then across cells:
+// the completion set is identical for every scheduler and every seed,
+// while the trace hashes diverge across seeds (the metamorphic complement
+// — if they did not, the determinism property would be vacuous).
 func TestSchedulerProperties(t *testing.T) {
 	seeds := propSeedCount()
-	matrix := runPropMatrix(t, seeds, false)
+	matrix := runPropMatrix(t, seeds)
+	goldens := loadPropGoldens(t)
 
 	// The expected completion set comes from the workload definition: each
 	// process does exactly its configured bytes, regardless of scheduler or
@@ -287,6 +316,10 @@ func TestSchedulerProperties(t *testing.T) {
 				t.Errorf("%s: device idled %v while requests were queued (bound %v)",
 					name, idle, maxIdleWhileQueued)
 			}
+			if g, ok := goldens[name]; !ok || g.Hash != res.Hash || g.Events != res.Events {
+				got, _ := json.Marshal(propGolden{Sched: s.name, Seed: int64(j + 1), Hash: res.Hash, Events: res.Events})
+				t.Errorf("%s: schedule differs from %s (golden %+v)\ngot: %s", name, propGoldenPath, g, got)
+			}
 		}
 	}
 
@@ -309,8 +342,8 @@ func TestSchedulerProperties(t *testing.T) {
 // across independently constructed kernels on different goroutines.
 func TestSchedulerSeedDeterminism(t *testing.T) {
 	const rerunSeeds = 4
-	first := runPropMatrix(t, rerunSeeds, false)
-	second := runPropMatrix(t, rerunSeeds, false)
+	first := runPropMatrix(t, rerunSeeds)
+	second := runPropMatrix(t, rerunSeeds)
 	for i, s := range propSchedulers {
 		for j := 0; j < rerunSeeds; j++ {
 			a, b := first[i][j], second[i][j]

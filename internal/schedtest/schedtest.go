@@ -18,7 +18,6 @@ import (
 	"splitio/internal/core"
 	"splitio/internal/fs"
 	"splitio/internal/metrics"
-	"splitio/internal/sched"
 	"splitio/internal/sim"
 	"splitio/internal/trace"
 	"splitio/internal/vfs"
@@ -72,11 +71,6 @@ func Throughputs(k *core.Kernel, d time.Duration, procs ...*vfs.Process) []float
 // Warm runs the kernel for d to let workloads reach steady state.
 func Warm(k *core.Kernel, d time.Duration) { k.Run(d) }
 
-// SpawnLoop spawns a process whose body loops forever via fn.
-func SpawnLoop(k *core.Kernel, name string, prio int, fn func(p *sim.Proc, pr *vfs.Process)) *vfs.Process {
-	return k.Spawn(name, prio, fn)
-}
-
 // EnableTrace turns on the kernel's tracer and returns it. Call before
 // spawning workload processes so every request is captured.
 func EnableTrace(k *core.Kernel) *trace.Tracer {
@@ -87,8 +81,7 @@ func EnableTrace(k *core.Kernel) *trace.Tracer {
 // TraceHash digests the deterministic fields of every event. Causes is
 // omitted (it is set-valued); everything ordered and timed is included, so
 // two runs collide only if they performed identical I/O at identical
-// virtual times. The differential engine harness compares it across the
-// legacy coroutine engine and the run-to-completion handler engine.
+// virtual times. The schedule goldens (schedtest and exp testdata) pin it.
 func TraceHash(events []trace.Event) string {
 	h := sha256.New()
 	for _, e := range events {
@@ -101,9 +94,9 @@ func TraceHash(events []trace.Event) string {
 
 // MetricsDump renders every sampled gauge series of r in a canonical text
 // form (sorted names, every point as time=value), skipping names that carry
-// any of the given prefixes. The engine equivalence harness excludes "sim."
-// — raw event and context-switch counts are the one place the two engines
-// legitimately differ.
+// any of the given prefixes. The experiment goldens exclude "sim.": raw
+// event and context-switch counts are event-loop bookkeeping, not model
+// results.
 func MetricsDump(r *metrics.Registry, excludePrefixes ...string) string {
 	var b strings.Builder
 	names := r.Names()
@@ -233,25 +226,6 @@ func AssertNoInversion(t *testing.T, a *attr.Attribution, kinds ...attr.Kind) {
 			break
 		}
 	}
-}
-
-// Introspect asserts the kernel's scheduler implements the observability
-// plane's introspection contract — every registered scheduler must — and
-// returns its snapshot for counter-level assertions.
-func Introspect(t *testing.T, k *core.Kernel) sched.Snap {
-	t.Helper()
-	in, ok := k.Sched.(sched.Introspector)
-	if !ok {
-		t.Fatalf("scheduler %s does not implement sched.Introspector", k.Sched.Name())
-	}
-	snap := in.Snapshot()
-	if snap.Name != k.Sched.Name() {
-		t.Errorf("snapshot name %q, want scheduler name %q", snap.Name, k.Sched.Name())
-	}
-	if len(snap.Counters) == 0 {
-		t.Errorf("scheduler %s snapshot has no counters", k.Sched.Name())
-	}
-	return snap
 }
 
 // AssertLatencyBudget fails the test if any requested quantile of h

@@ -10,7 +10,7 @@
 //     pdflush, journal commit, FTL GC) run this way.
 //
 //   - Cooperative processes (Proc): goroutines with blocking control flow
-//     (Sleep, Wait, SubmitAndWait) for workload and application code.
+//     (Sleep, Wait, WaitTimeout) for workload and application code.
 //     Exactly one process (or handler) runs at a time; control returns to
 //     the event loop whenever a process sleeps or blocks. Each park/resume
 //     costs two goroutine context switches — which is why hot kernel paths
@@ -98,7 +98,6 @@ type Env struct {
 	park   chan struct{} //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
 	cur    *Proc
 	closed bool
-	legacy bool
 	obs    func(at Time)
 	stats  Stats
 }
@@ -120,17 +119,6 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // Stats returns the environment's kernel counters so far.
 func (e *Env) Stats() Stats { return e.stats }
-
-// SetLegacyCoroutines selects, before kernel construction, the legacy
-// cooperative-coroutine builds of the converted kernel daemons (block
-// dispatcher, pdflush, journal, FTL GC). It exists so the differential test
-// harness can run both engines against each other; the default (false) is
-// the run-to-completion handler engine.
-func (e *Env) SetLegacyCoroutines(on bool) { e.legacy = on }
-
-// LegacyCoroutines reports whether the legacy coroutine daemon builds were
-// selected.
-func (e *Env) LegacyCoroutines() bool { return e.legacy }
 
 // SetEventObserver installs a debug hook called with every event's
 // timestamp just before its callback runs (the clock has already advanced).
@@ -252,34 +240,6 @@ func (e *Env) ScheduleAt(at Time, fn func()) {
 	}
 }
 
-// Handler is a named run-to-completion callback: the handler analog of a
-// kernel daemon Proc. Its body is fixed at construction, so waking it
-// repeatedly performs no closure allocation — the loop schedules the same
-// func value each time. Handlers run on the event loop and must not block;
-// state machines park by simply not rescheduling themselves (or by waiting
-// on a WaitQueue/Completion via the *Fn variants) and are woken by whoever
-// holds their Handler.
-type Handler struct {
-	env  *Env
-	name string
-	fn   func()
-}
-
-// NewHandler registers fn as a named run-to-completion handler body and
-// returns its wake handle. fn runs only when the handler is scheduled.
-func (e *Env) NewHandler(name string, fn func()) *Handler {
-	return &Handler{env: e, name: name, fn: fn}
-}
-
-// Name returns the handler name given at construction.
-func (h *Handler) Name() string { return h.name }
-
-// Schedule enqueues one run of the handler body after delay.
-func (h *Handler) Schedule(delay time.Duration) { h.env.Schedule(delay, h.fn) }
-
-// ScheduleAt enqueues one run of the handler body at time at.
-func (h *Handler) ScheduleAt(at Time) { h.env.ScheduleAt(at, h.fn) }
-
 // procKilled is the panic sentinel used to unwind killed processes.
 type procKilled struct{}
 
@@ -342,14 +302,14 @@ func (e *Env) runProc(p *Proc) {
 	e.cur = p
 	e.stats.Switches++
 	p.resume <- struct{}{} //splitlint:ignore nogoroutine,hotpurity hand the single execution token to p; this IS the coroutine mechanism the purity contract protects
-	<-e.park //splitlint:ignore nogoroutine,hotpurity wait until p parks; exactly one runnable goroutine, so the handoff cannot deadlock
+	<-e.park               //splitlint:ignore nogoroutine,hotpurity wait until p parks; exactly one runnable goroutine, so the handoff cannot deadlock
 	e.cur = prev
 }
 
 // block parks the calling process until something calls env.runProc on it.
 func (p *Proc) block() {
-	p.env.park <- struct{}{} //splitlint:ignore nogoroutine,hotpurity park: return the execution token to the event loop
-	<-p.resume //splitlint:ignore nogoroutine,hotpurity sleep until the event loop hands the token back
+	p.env.park <- struct{}{} //splitlint:ignore nogoroutine park: return the execution token to the event loop
+	<-p.resume               //splitlint:ignore nogoroutine sleep until the event loop hands the token back
 	if p.killed {
 		panic(procKilled{})
 	}

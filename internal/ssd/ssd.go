@@ -165,8 +165,8 @@ type Device struct {
 	lastXfr   time.Duration
 	lastStall time.Duration
 
-	// Run-to-completion collector state (the default engine): the step and
-	// park callbacks are allocated once so GC pacing never allocates.
+	// Run-to-completion collector state: the step and park callbacks are
+	// allocated once so GC pacing never allocates.
 	gcStepFn func()
 	gcWaitFn func(sig bool)
 }
@@ -223,14 +223,11 @@ func New(env *sim.Env, cfg Config) *Device {
 	d.chanFree = make([]time.Duration, cfg.Channels)
 	d.gcHeld = make([]time.Duration, d.dies)
 	d.gcHash = fnvOffset
-	if env.LegacyCoroutines() {
-		env.Go("ssd-gc", d.gcLoop)
-		return d
-	}
 	d.gcStepFn = d.gcStep
 	d.gcWaitFn = func(sig bool) { d.gcStep() }
-	// The startup event mirrors the legacy spawn: the collector's first
-	// watermark probe runs at time zero, in construction order.
+	// The collector's first watermark probe runs at time zero. t=0 startup
+	// events fire in construction order; the schedule goldens pin that
+	// order.
 	env.Schedule(0, d.gcStepFn)
 	return d
 }

@@ -92,9 +92,6 @@ func WithFS(kind string) Option {
 // WithSeed sets the deterministic random seed.
 func WithSeed(seed int64) Option { return func(c *config) { c.opts.Seed = seed } }
 
-// WithCores sets the CPU core count.
-func WithCores(n int) Option { return func(c *config) { c.opts.Cores = n } }
-
 // WithRAMMB sets the page-cache size in MiB (default 256 in this API; large
 // scans should miss).
 func WithRAMMB(mb int64) Option { return func(c *config) { c.ramMB = mb } }

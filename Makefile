@@ -16,6 +16,7 @@
 # pool; output is byte-identical at any -j, so parallelism is free).
 
 GO ?= go
+GOFMT ?= gofmt
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
 .PHONY: check build test vet race bench microbench lint fuzz cover crashsweep gcsweep report slo clean
@@ -37,8 +38,15 @@ build:
 test:
 	$(GO) test ./...
 
+# Root `go test ./...` skips `_`-prefixed directories, so the benchmark
+# module is vetted on its own: a deleted API it uses fails here rather than
+# in a benchmark run. Files under testdata/ are fixtures and may be
+# deliberately unformatted.
 vet:
 	$(GO) vet ./...
+	cd _perfbench && $(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l . | grep -v '/testdata/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt: unformatted files:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 race:
 	$(GO) test -race ./...

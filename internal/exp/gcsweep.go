@@ -33,7 +33,7 @@ import (
 func gcsweepSSD() *ssd.Config {
 	c := ssd.DefaultConfig()
 	c.Channels = 4
-	c.DiesPerChan = 2     // 8 dies
+	c.DiesPerChan = 2 // 8 dies
 	c.PlanesPerDie = 2
 	c.BlocksPerPlane = 40 // 640 blocks ≈ 320 MiB physical
 	c.PagesPerBlock = 128

@@ -5,73 +5,42 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 
 	"splitio/internal/sim"
 )
 
-// Histogram collects latency samples and reports percentiles. By default it
-// stores raw samples (the experiments here collect at most a few hundred
-// thousand); SetReservoir bounds memory for long stress runs by switching to
-// deterministic reservoir sampling.
+// Histogram collects latency samples and reports exact nearest-rank
+// percentiles. It stores raw samples: the experiments here collect at most a
+// few hundred thousand, and the monitor resets its windows every tick.
 type Histogram struct {
 	samples []time.Duration
 	sorted  bool
-	n       int64 // total observations, including ones not retained
-	cap     int   // reservoir capacity; 0 = keep everything
-	rng     *rand.Rand
-}
-
-// SetReservoir caps retained samples at capacity using reservoir sampling
-// (Vitter's Algorithm R), so every observation has an equal chance of being
-// retained no matter how long the run. rng should be the simulation's random
-// stream so runs stay deterministic. Already-retained samples beyond the cap
-// are trimmed. capacity <= 0 removes the cap.
-func (h *Histogram) SetReservoir(capacity int, rng *rand.Rand) {
-	h.cap = capacity
-	h.rng = rng
-	if capacity > 0 && len(h.samples) > capacity {
-		h.samples = h.samples[:capacity]
-		h.sorted = false
-	}
 }
 
 // Add records one sample.
 func (h *Histogram) Add(d time.Duration) {
-	h.n++
-	if h.cap > 0 && len(h.samples) >= h.cap {
-		// Replace a random retained sample with probability cap/n; retained
-		// order carries no meaning (percentiles re-sort), so replacing an
-		// arbitrary slot keeps the reservoir uniform.
-		if j := h.rng.Int63n(h.n); j < int64(h.cap) {
-			h.samples[j] = d
-			h.sorted = false
-		}
-		return
-	}
 	h.samples = append(h.samples, d)
 	h.sorted = false
 }
 
-// Count returns the number of observations, including ones a reservoir cap
-// did not retain.
-func (h *Histogram) Count() int { return int(h.n) }
+// Merge adds every sample of o to h.
+func (h *Histogram) Merge(o *Histogram) {
+	h.samples = append(h.samples, o.samples...)
+	h.sorted = false
+}
 
-// Retained returns the number of stored samples (== Count unless a reservoir
-// cap is set).
-func (h *Histogram) Retained() int { return len(h.samples) }
+// Count returns the number of samples.
+func (h *Histogram) Count() int { return len(h.samples) }
 
-// Reset drops all samples and restarts the observation count; the reservoir
-// configuration is kept.
+// Reset drops all samples, keeping the backing storage for reuse.
 func (h *Histogram) Reset() {
 	h.samples = h.samples[:0]
 	h.sorted = false
-	h.n = 0
 }
 
-// ensureSorted sorts the retained samples once; Add clears the flag.
+// ensureSorted sorts the samples once; Add and Merge clear the flag.
 func (h *Histogram) ensureSorted() {
 	if !h.sorted {
 		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
@@ -82,18 +51,7 @@ func (h *Histogram) ensureSorted() {
 // Percentile returns the p-th percentile (0 < p <= 100) using
 // nearest-rank. It returns 0 when the histogram is empty.
 func (h *Histogram) Percentile(p float64) time.Duration {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.ensureSorted()
-	rank := int(math.Ceil(p / 100 * float64(len(h.samples))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(h.samples) {
-		rank = len(h.samples)
-	}
-	return h.samples[rank-1]
+	return h.Quantiles([]float64{p})[0]
 }
 
 // Quantiles returns the nearest-rank percentile for each p in ps with a
@@ -102,33 +60,21 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 // with ps; an empty histogram yields all zeros.
 func (h *Histogram) Quantiles(ps []float64) []time.Duration {
 	out := make([]time.Duration, len(ps))
-	if len(h.samples) == 0 {
+	n := int64(len(h.samples))
+	if n == 0 {
 		return out
 	}
 	h.ensureSorted()
 	for i, p := range ps {
-		rank := int(math.Ceil(p / 100 * float64(len(h.samples))))
-		if rank < 1 {
-			rank = 1
-		}
-		if rank > len(h.samples) {
-			rank = len(h.samples)
-		}
+		// The rank is ceil(p/100*n) computed in integer parts per million,
+		// so a percentile such as 99.9 (0.9990000000000001 as a float64
+		// fraction) cannot round up past an exact rank.
+		ppm := int64(math.Round(p * 1e4))
+		rank := (ppm*n + 999_999) / 1_000_000
+		rank = min(max(rank, 1), n)
 		out[i] = h.samples[rank-1]
 	}
 	return out
-}
-
-// Mean returns the arithmetic mean of the samples.
-func (h *Histogram) Mean() time.Duration {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, s := range h.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(h.samples))
 }
 
 // Max returns the largest sample.
@@ -142,18 +88,23 @@ func (h *Histogram) Max() time.Duration {
 	return m
 }
 
-// FractionAbove returns the fraction of samples strictly greater than d.
-func (h *Histogram) FractionAbove(d time.Duration) float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
+// CountAbove returns how many samples are strictly greater than d.
+func (h *Histogram) CountAbove(d time.Duration) int {
 	n := 0
 	for _, s := range h.samples {
 		if s > d {
 			n++
 		}
 	}
-	return float64(n) / float64(len(h.samples))
+	return n
+}
+
+// FractionAbove returns the fraction of samples strictly greater than d.
+func (h *Histogram) FractionAbove(d time.Duration) float64 {
+	if len(h.samples) == 0 {
+		return 0
+	}
+	return float64(h.CountAbove(d)) / float64(len(h.samples))
 }
 
 // Samples returns a copy of the raw samples.

@@ -10,31 +10,41 @@ import (
 )
 
 func TestHistogramPercentiles(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 100; i++ {
-		h.Add(time.Duration(i) * time.Millisecond)
-	}
-	if got := h.Percentile(50); got != 50*time.Millisecond {
-		t.Fatalf("p50 = %v, want 50ms", got)
-	}
-	if got := h.Percentile(99); got != 99*time.Millisecond {
-		t.Fatalf("p99 = %v, want 99ms", got)
-	}
-	if got := h.Percentile(100); got != 100*time.Millisecond {
-		t.Fatalf("p100 = %v, want 100ms", got)
-	}
-	if got := h.Max(); got != 100*time.Millisecond {
-		t.Fatalf("max = %v", got)
+	for _, tc := range []struct {
+		n    int // samples are 1..n ms
+		p    float64
+		want time.Duration
+	}{
+		{100, 50, 50 * time.Millisecond},
+		{100, 99, 99 * time.Millisecond},
+		{100, 100, 100 * time.Millisecond},
+		// 99.9/100 is 0.9990000000000001 in float64: a float ceil lands
+		// one rank past the exact 999th sample.
+		{1000, 99.9, 999 * time.Millisecond},
+	} {
+		var h Histogram
+		for i := 1; i <= tc.n; i++ {
+			h.Add(time.Duration(i) * time.Millisecond)
+		}
+		if got := h.Percentile(tc.p); got != tc.want {
+			t.Errorf("n=%d: p%g = %v, want %v", tc.n, tc.p, got, tc.want)
+		}
+		if got := h.Quantiles([]float64{tc.p})[0]; got != tc.want {
+			t.Errorf("n=%d: Quantiles(p%g) = %v, want %v", tc.n, tc.p, got, tc.want)
+		}
+		if got := h.Max(); got != time.Duration(tc.n)*time.Millisecond {
+			t.Errorf("n=%d: max = %v", tc.n, got)
+		}
 	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Percentile(99) != 0 || h.Mean() != 0 || h.Max() != 0 {
+	if h.Percentile(99) != 0 || h.Max() != 0 || h.Count() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
-	if h.FractionAbove(time.Second) != 0 {
-		t.Fatal("empty FractionAbove != 0")
+	if h.FractionAbove(time.Second) != 0 || h.CountAbove(0) != 0 {
+		t.Fatal("empty histogram has samples above a bound")
 	}
 }
 
@@ -55,6 +65,58 @@ func TestHistogramFractionAbove(t *testing.T) {
 	}
 	if got := h.FractionAbove(8 * time.Millisecond); got != 0.2 {
 		t.Fatalf("FractionAbove = %v, want 0.2", got)
+	}
+	// "Above" is strict: the sample equal to the bound does not count.
+	for _, tc := range []struct {
+		d    time.Duration
+		want int
+	}{
+		{0, 10},
+		{time.Millisecond, 9},
+		{8 * time.Millisecond, 2},
+		{8*time.Millisecond - 1, 3},
+		{10 * time.Millisecond, 0},
+	} {
+		if got := h.CountAbove(tc.d); got != tc.want {
+			t.Errorf("CountAbove(%v) = %d, want %d", tc.d, got, tc.want)
+		}
+	}
+}
+
+func TestHistogramMerge(t *testing.T) {
+	var h Histogram
+	for i := 1; i <= 100; i++ {
+		h.Add(time.Duration(i) * time.Millisecond)
+	}
+	var merged Histogram
+	merged.Merge(&h)
+	merged.Merge(&h)
+	if merged.Count() != 200 || h.Count() != 100 {
+		t.Fatalf("merged count %d (source %d), want 200 (100)", merged.Count(), h.Count())
+	}
+	if merged.Percentile(50) != h.Percentile(50) {
+		t.Errorf("merge shifted the median: %v vs %v", merged.Percentile(50), h.Percentile(50))
+	}
+	if merged.CountAbove(99*time.Millisecond) != 2 {
+		t.Errorf("merged CountAbove(99ms) = %d, want 2", merged.CountAbove(99*time.Millisecond))
+	}
+}
+
+func TestHistogramReset(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 100; i++ {
+		h.Add(time.Second)
+	}
+	_ = h.Percentile(50)
+	h.Reset()
+	if h.Count() != 0 || h.Max() != 0 || h.Percentile(50) != 0 {
+		t.Fatalf("Reset left count=%d max=%v", h.Count(), h.Max())
+	}
+	for i := 3; i >= 1; i-- {
+		h.Add(time.Duration(i) * time.Millisecond)
+	}
+	if h.Count() != 3 || h.Percentile(50) != 2*time.Millisecond || h.Max() != 3*time.Millisecond {
+		t.Fatalf("after Reset+refill: count=%d p50=%v max=%v", h.Count(), h.Percentile(50), h.Max())
 	}
 }
 

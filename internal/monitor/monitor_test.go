@@ -56,61 +56,6 @@ func TestParseRule(t *testing.T) {
 	}
 }
 
-func TestHistBins(t *testing.T) {
-	// Every bin's upper bound must map back to the same bin, and upper
-	// bounds must be strictly increasing: together these make nearest-rank
-	// quantiles well defined.
-	prev := int64(-1)
-	for b := 0; b < numBins; b++ {
-		up := binUpper(b)
-		if up <= prev {
-			t.Fatalf("binUpper(%d)=%d not increasing (prev %d)", b, up, prev)
-		}
-		prev = up
-		if got := binOf(up); got != b {
-			t.Fatalf("binOf(binUpper(%d)=%d) = %d", b, up, got)
-		}
-	}
-	// Values below 2^subBits bin exactly.
-	for v := int64(0); v < subBins; v++ {
-		if binUpper(binOf(v)) != v {
-			t.Errorf("small value %d not exact", v)
-		}
-	}
-}
-
-func TestHistQuantile(t *testing.T) {
-	var h hist
-	for i := int64(1); i <= 100; i++ {
-		h.observe(i * int64(time.Millisecond))
-	}
-	// Log-histogram quantiles overestimate by at most one sub-bin (~12.5%).
-	for _, tc := range []struct{ q, val float64 }{
-		{0.50, 50e6}, {0.95, 95e6}, {0.99, 99e6},
-	} {
-		got := float64(h.quantile(tc.q))
-		if got < tc.val || got > tc.val*1.15 {
-			t.Errorf("q%g = %g, want within [%g, %g]", tc.q, got, tc.val, tc.val*1.15)
-		}
-	}
-	if h.countAbove(int64(200*time.Millisecond)) != 0 {
-		t.Errorf("countAbove(200ms) nonzero")
-	}
-	if bad := h.countAbove(int64(1 * time.Millisecond)); bad < 99 {
-		t.Errorf("countAbove(1ms) = %d, want >= 99", bad)
-	}
-
-	var merged hist
-	merged.merge(&h)
-	merged.merge(&h)
-	if merged.count != 200 {
-		t.Errorf("merged count %d", merged.count)
-	}
-	if merged.quantile(0.5) != h.quantile(0.5) {
-		t.Errorf("merge shifted the median")
-	}
-}
-
 func TestRecorderRing(t *testing.T) {
 	r := recorder{cap: 4}
 	for i := 0; i < 10; i++ {
@@ -195,8 +140,12 @@ func TestMonitorEndToEnd(t *testing.T) {
 	if b.At != sim.Time(100*time.Millisecond) {
 		t.Errorf("first breach at %v, want the first window close (100ms)", time.Duration(b.At))
 	}
-	if b.Kind != "latency" || time.Duration(b.Value) < 20*time.Millisecond {
+	if b.Kind != "latency" || time.Duration(b.Value) != 20*time.Millisecond {
 		t.Errorf("breach = %+v", b)
+	}
+	// Every span in the window took exactly 20ms.
+	if b.Window.P99 != 20*time.Millisecond {
+		t.Errorf("window p99 = %v, want exactly 20ms", b.Window.P99)
 	}
 	if b.Window.Count == 0 || b.Window.Bytes == 0 {
 		t.Errorf("breach window stats empty: %+v", b.Window)

@@ -184,7 +184,7 @@ type Event struct {
 	// Txn is the journal transaction the event serves (commit spans,
 	// commit waits, and the ordered-mode data flushes a commit forces;
 	// 0 otherwise).
-	Txn int64
+	Txn   int64
 	Flags Flag
 }
 

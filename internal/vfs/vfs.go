@@ -251,7 +251,7 @@ func (v *VFS) Read(p *sim.Proc, pr *Process, f *fs.File, off, n int64) {
 		v.tr.Record(trace.Event{
 			Layer: trace.LayerSyscall, Op: trace.OpRead, Label: label,
 			Req: pr.Ctx.Req, PID: pr.Ctx.PID, Causes: pr.Ctx.Causes(),
-			Prio: pr.Ctx.Prio,
+			Prio:  pr.Ctx.Prio,
 			Start: t0, End: p.Now(), Ino: f.Ino, Bytes: n, Flags: trace.FlagRead,
 		})
 	}
@@ -278,7 +278,7 @@ func (v *VFS) Write(p *sim.Proc, pr *Process, f *fs.File, off, n int64) {
 			v.tr.Record(trace.Event{
 				Layer: trace.LayerCache, Op: trace.OpThrottle,
 				Req: pr.Ctx.Req, PID: pr.Ctx.PID, Causes: pr.Ctx.Causes(),
-				Prio: pr.Ctx.Prio,
+				Prio:  pr.Ctx.Prio,
 				Start: th0, End: p.Now(), Ino: f.Ino, Flags: trace.FlagWrite,
 			})
 		}

@@ -1,6 +1,6 @@
 # Tier-1 verification plus static and race checks.
 #
-#   make check       vet + lint + build + tests + race + fuzz corpora + crash-consistency smoke + gcsweep + report + slo
+#   make check       vet + lint + build + tests (benchmark module's too) + race + fuzz corpora + crash-consistency smoke + gcsweep + report + slo
 #   make lint        splitlint determinism-contract analyzers (see DESIGN.md)
 #   make crashsweep  fault-injected crash sweep; fails on any invariant violation
 #   make gcsweep     GC-inversion sweep on an aged FTL SSD; fails if gc-afq inverts
@@ -9,8 +9,8 @@
 #   make clean       remove generated artifacts (reports, SARIF, coverage, post-mortems)
 #   make fuzz        checked-in fuzz corpora in regression mode (no exploration)
 #   make cover       coverage profile + HTML; fails if total drops below coverage-baseline.txt
-#   make bench       splitbench bench -quick, gated against BENCH_baseline.json (see DESIGN.md)
-#   make microbench  testing.B microbenchmarks for the DES/cache/perf hot paths
+#   make bench       same-host A/B of _perfbench: BASE (default HEAD) against this tree, gated on BENCHMARK.json bounds
+#   make microbench  testing.B microbenchmarks for the DES/cache/SSD hot paths
 #
 # NPROC controls -j for the splitbench sweeps (cells fan across a worker
 # pool; output is byte-identical at any -j, so parallelism is free).
@@ -35,8 +35,11 @@ lint:
 build:
 	$(GO) build ./...
 
+# The benchmark module's own tests run on their own (see vet): among them,
+# a machine corrupted after the drain must fail the run.
 test:
 	$(GO) test ./...
+	cd _perfbench && $(GO) test .
 
 # Root `go test ./...` skips `_`-prefixed directories, so the benchmark
 # module is vetted on its own: a deleted API it uses fails here rather than
@@ -51,18 +54,14 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Self-profiling run: the fixed benchmark matrix at -quick scale, archived
-# to BENCH_ci.json and diffed against the committed baseline. The full-matrix
-# tolerance is deliberately generous (fail only on >2x regressions) because
-# archives cross hosts; the eventloop entry — the bare DES kernel ceiling the
-# run-to-completion rewrite is graded on — gets a second, tight gate that
-# fails on a >10% events/sec regression so the handler engine cannot quietly
-# slide back toward coroutine cost. Refresh the baseline with:
-#   go run ./cmd/splitbench -j N bench -quick -o BENCH_baseline.json
+# Same-host A/B gate on the end-to-end benchmark: runs _perfbench
+# alternately in a worktree of BASE and in this tree, and fails when a run
+# is incorrect, more operations fail, or any workload's end-to-end metric
+# median is worse than the base's by more than its BENCHMARK.json bound.
+# Both sides run on one host, so the gate does not depend on its speed.
+BASE ?= HEAD
 bench:
-	$(GO) run ./cmd/splitbench -j $(NPROC) bench -quick -o BENCH_ci.json -diff BENCH_baseline.json -tolerance 2
-	$(GO) run ./cmd/splitbench bench -quick -only eventloop -o "" -diff BENCH_baseline.json -tolerance 1.1
-	@$(MAKE) --no-print-directory lint >/dev/null
+	bash scripts/bench-ab.sh $(BASE)
 
 # BenchmarkSplitlintRepo is a full cold whole-program analysis per
 # iteration, so it gets its own -benchtime=1x invocation rather than
@@ -72,7 +71,7 @@ bench:
 # target fails if it regresses.
 microbench:
 	$(GO) test -run '^TestScheduleRunZeroAllocs$$' -count=1 ./internal/sim
-	$(GO) test -bench=. -benchtime=1000x -run '^$$' ./internal/sim ./internal/cache ./internal/perf ./internal/ssd
+	$(GO) test -bench=. -benchtime=1000x -run '^$$' ./internal/sim ./internal/cache ./internal/ssd
 	$(GO) test -bench=BenchmarkSplitlintRepo -benchtime=1x -run '^$$' ./internal/analysis
 
 # Replays the checked-in seed corpora (testdata/fuzz/...) without fuzzing:
@@ -114,5 +113,5 @@ slo:
 # Generated artifacts only — never sources. Post-mortem bundles are kept by
 # CI as artifacts, not by git.
 clean:
-	rm -f report.json splitlint.sarif BENCH_ci.json coverage.out coverage.html postmortem-*.json
+	rm -f report.json splitlint.sarif coverage.out coverage.html postmortem-*.json
 	rm -rf .splitbench-cache

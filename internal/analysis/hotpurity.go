@@ -28,8 +28,7 @@ import (
 // Violations in the reachable set: goroutine spawns, channel operations
 // (send/recv/select/range), blocking stdlib calls (mutex lock, WaitGroup /
 // Cond wait, Once.Do, time.Sleep), and any call into a host-state package
-// (os, syscall, net, os/exec). sync/atomic is allowed — the perf layer's
-// counters are atomics and never block.
+// (os, syscall, net, os/exec). sync/atomic is allowed: atomics never block.
 //
 // Additionally, //splitlint:hot functions (and their nested literals) must
 // not allocate: make/new, &T{...}, slice/map literals, closures, and

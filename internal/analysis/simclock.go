@@ -26,11 +26,10 @@ var wallClockFuncs = map[string]string{
 // clock read makes run output depend on machine speed.
 //
 // Two kinds of package are exempt, making them the module's only host-time
-// surface: internal/perf (the host-side self-profiling layer, which exists
-// to measure wall time and exports perf.NowNS for everyone else) and the
-// cmd/ binaries (drivers outside the simulation). Any other package wanting
-// host time must route through internal/perf or carry a
-// //splitlint:ignore directive with a reason.
+// surface: internal/perf (the host clock, which exports perf.NowNS for
+// everyone else) and the cmd/ binaries (drivers outside the simulation).
+// Any other package wanting host time must route through internal/perf or
+// carry a //splitlint:ignore directive with a reason.
 var AnalyzerSimClock = &Analyzer{
 	Name: "simclock",
 	Doc:  "forbid wall-clock reads; virtual time comes from internal/sim",

@@ -16,7 +16,7 @@ import (
 // perf.NowNS, whose body the analysis summarizes — sources are discovered
 // transitively, not hard-coded) must never become simulator state. The
 // sanctioned packages are source-only: they may produce and consume host
-// time among themselves (self-profiling, progress logs), but the moment a
+// time among themselves (wall counters, progress logs), but the moment a
 // host-derived value is converted to sim.Time, assigned into a sim.Time
 // location, or passed where the simulator expects a virtual delay
 // (Env.Schedule / ScheduleAt, Proc.Sleep, WaitQueue.WaitTimeout), the run's

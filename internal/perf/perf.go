@@ -1,289 +1,19 @@
-// Package perf is the simulator's host-side self-profiling layer: it
-// measures how fast the simulator itself runs — wall-clock time, events per
-// second, allocations per event, per-layer host-CPU attribution — without
-// ever touching the simulation's virtual clock.
-//
-// perf sits strictly OUTSIDE the discrete-event-simulation determinism
-// contract. It is the one non-cmd package the splitlint simclock analyzer
-// permits to read host time (see DESIGN.md, "Performance telemetry"): every
-// other package that needs a host timestamp (internal/sweep's per-cell wall
-// counters, the progress heartbeat) must route the read through perf, so the
-// determinism boundary stays a one-package audit.
-//
-// The profiling hooks mirror internal/trace's disabled-path discipline:
-// when disabled (the default), Begin is one atomic load returning 0 and End
-// on a 0 token is a branch — no allocation, no clock read. When enabled,
-// hot-path calls are still only counted; the host clock is read for one in
-// SampleEvery calls per bucket, so the instrumented layers pay a bounded,
-// amortized cost. Nothing in this package feeds back into the simulation:
-// enabling profiling cannot change a run's virtual-time behavior, which the
-// golden-determinism tests pin.
-//
-// All state is process-global and atomic because host-parallel sweep cells
-// (internal/sweep) run simulations on concurrent worker goroutines; their
-// counters fold into one aggregate that Snapshot reads and the `splitbench
-// bench` driver deltas per experiment.
+// Package perf is the module's one sanctioned host-clock read outside the
+// cmd/ binaries. The splitlint simclock analyzer exempts this package alone:
+// host-side infrastructure that needs a wall-clock stamp (internal/sweep's
+// per-cell wall counters and progress heartbeat) calls NowNS, so the
+// determinism boundary stays a one-package audit. Simulation packages must
+// never call it, and the timetaint analyzer keeps its values out of
+// virtual time. Measuring the simulator's speed is _perfbench's job (see
+// _perfbench/README.md).
 package perf
 
-import (
-	"runtime"
-	"sync/atomic"
-	"time"
+import "time"
 
-	"splitio/internal/sim"
-)
-
-// Bucket names one attributed host-CPU timing bucket: the hot path of one
-// stack layer (the scheduler bucket covers every elevator, timed where the
-// block layer calls into it).
-type Bucket uint8
-
-// Buckets, top to bottom of the stack.
-const (
-	BucketVFS Bucket = iota
-	BucketCache
-	BucketFS
-	BucketBlock
-	BucketDevice
-	BucketSched
-	NumBuckets
-)
-
-var bucketNames = [NumBuckets]string{"vfs", "cache", "fs", "block", "device", "sched"}
-
-func (b Bucket) String() string {
-	if int(b) < len(bucketNames) {
-		return bucketNames[b]
-	}
-	return "unknown"
-}
-
-// Buckets lists every bucket in stack order.
-func Buckets() []Bucket {
-	return []Bucket{BucketVFS, BucketCache, BucketFS, BucketBlock, BucketDevice, BucketSched}
-}
-
-// DefaultSampleEvery is the default sampling period: one clock-read pair per
-// this many Begin calls per bucket.
-const DefaultSampleEvery = 64
-
-var (
-	enabled     atomic.Bool
-	sampleEvery atomic.Int64
-
-	// base anchors NowNS so deltas ride the monotonic clock (wall-clock
-	// adjustments cannot produce negative spans).
-	base = time.Now()
-)
-
-func init() { sampleEvery.Store(DefaultSampleEvery) }
-
-// Enable turns profiling on. Safe to call concurrently with instrumented
-// simulations; hot paths observe the flag with one atomic load.
-func Enable() { enabled.Store(true) }
-
-// Disable turns profiling off; accumulated counters are kept.
-func Disable() { enabled.Store(false) }
-
-// Enabled reports whether profiling is on.
-func Enabled() bool { return enabled.Load() }
-
-// SetSampleEvery sets the per-bucket sampling period: the host clock is read
-// on one in n Begin calls (n <= 1 samples every call). A very large n gives
-// "enabled but unsampled" profiling: calls are counted, the clock is never
-// read — the mode the golden-determinism tests run under.
-func SetSampleEvery(n int64) {
-	if n < 1 {
-		n = 1
-	}
-	sampleEvery.Store(n)
-}
+// base anchors NowNS so deltas ride the monotonic clock (wall-clock
+// adjustments cannot produce negative spans).
+var base = time.Now()
 
 // NowNS returns nanoseconds of host time since process start, on the
-// monotonic clock. It is the sanctioned host-clock read for host-side
-// infrastructure (sweep wall counters, progress heartbeats, the bench
-// driver); simulation packages must never call it.
+// monotonic clock.
 func NowNS() int64 { return int64(time.Since(base)) }
-
-// bucketState is one bucket's counters. Padded fields are not worth the
-// complexity here: buckets are written from a handful of worker goroutines
-// and read once per experiment.
-type bucketState struct {
-	calls   atomic.Int64 // every Begin while enabled
-	tick    atomic.Int64 // sampling phase
-	sampled atomic.Int64 // Begin calls that read the clock
-	ns      atomic.Int64 // summed sampled span time
-}
-
-var buckets [NumBuckets]bucketState
-
-// Begin marks entry to bucket b's hot path and returns a token for End.
-// Disabled: returns 0 after one atomic load. Enabled: counts the call and,
-// for one in SampleEvery calls, returns the current host time to be closed
-// by End; other calls return 0, which End ignores.
-func Begin(b Bucket) int64 {
-	if !enabled.Load() {
-		return 0
-	}
-	s := &buckets[b]
-	s.calls.Add(1)
-	if s.tick.Add(1)%sampleEvery.Load() != 0 {
-		return 0
-	}
-	return NowNS()
-}
-
-// End closes a span opened by Begin. A zero token (disabled or unsampled
-// call) is a no-op.
-func End(b Bucket, start int64) {
-	if start == 0 {
-		return
-	}
-	s := &buckets[b]
-	s.sampled.Add(1)
-	s.ns.Add(NowNS() - start)
-}
-
-// Simulation-kernel aggregate: every sim.Env that finishes under a
-// profiled run folds its counters in here via ObserveSim (wired as
-// sim.StatsHook by the bench driver).
-var (
-	simEnvs     atomic.Int64
-	simEvents   atomic.Int64
-	simSwitches atomic.Int64
-	simHeapMax  atomic.Int64
-)
-
-// ObserveSim folds one finished environment's kernel counters into the
-// global aggregate. Install it before a profiled run:
-//
-//	sim.StatsHook = perf.ObserveSim
-//
-// Environments report at Close, from whichever host goroutine closes them,
-// so the fold is atomic. The heap high-water mark aggregates as a max.
-func ObserveSim(s sim.Stats) {
-	simEnvs.Add(1)
-	simEvents.Add(s.Events)
-	simSwitches.Add(s.Switches)
-	for {
-		cur := simHeapMax.Load()
-		if int64(s.HeapMax) <= cur || simHeapMax.CompareAndSwap(cur, int64(s.HeapMax)) {
-			return
-		}
-	}
-}
-
-// BucketStat is one bucket's accumulated counters.
-type BucketStat struct {
-	// Calls counts every Begin while profiling was enabled.
-	Calls int64
-	// Sampled counts the calls that read the host clock.
-	Sampled int64
-	// SampledNS is the summed host time of the sampled spans; SampledNS /
-	// Sampled estimates the mean hot-path cost.
-	SampledNS int64
-}
-
-// MeanNS estimates the mean sampled span in nanoseconds (0 with no samples).
-func (b BucketStat) MeanNS() float64 {
-	if b.Sampled == 0 {
-		return 0
-	}
-	return float64(b.SampledNS) / float64(b.Sampled)
-}
-
-// SimStat is the aggregated kernel work of every environment observed so
-// far (see ObserveSim).
-type SimStat struct {
-	Envs     int64
-	Events   int64
-	Switches int64
-	HeapMax  int64
-}
-
-// MemStat is the allocation counters perf deltas per experiment.
-type MemStat struct {
-	// Mallocs is the cumulative count of heap objects allocated.
-	Mallocs uint64
-	// TotalAlloc is the cumulative bytes allocated for heap objects.
-	TotalAlloc uint64
-}
-
-// Snapshot is one point-in-time reading of every profiling counter plus the
-// runtime's allocation totals. Two snapshots bracket an experiment; Delta
-// attributes the interval.
-type Snapshot struct {
-	WhenNS  int64
-	Buckets [NumBuckets]BucketStat
-	Sim     SimStat
-	Mem     MemStat
-}
-
-// TakeSnapshot reads every counter and runtime.MemStats. It stops the world
-// briefly (ReadMemStats), so call it between experiments, never inside a
-// timed region.
-func TakeSnapshot() Snapshot {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	snap := Snapshot{
-		WhenNS: NowNS(),
-		Sim: SimStat{
-			Envs:     simEnvs.Load(),
-			Events:   simEvents.Load(),
-			Switches: simSwitches.Load(),
-			HeapMax:  simHeapMax.Load(),
-		},
-		Mem: MemStat{Mallocs: ms.Mallocs, TotalAlloc: ms.TotalAlloc},
-	}
-	for i := range buckets {
-		snap.Buckets[i] = BucketStat{
-			Calls:     buckets[i].calls.Load(),
-			Sampled:   buckets[i].sampled.Load(),
-			SampledNS: buckets[i].ns.Load(),
-		}
-	}
-	return snap
-}
-
-// Delta returns the counter movement from old to new (new - old). HeapMax
-// is carried from the new snapshot: it is a high-water mark, not a counter.
-func Delta(old, new Snapshot) Snapshot {
-	d := Snapshot{
-		WhenNS: new.WhenNS - old.WhenNS,
-		Sim: SimStat{
-			Envs:     new.Sim.Envs - old.Sim.Envs,
-			Events:   new.Sim.Events - old.Sim.Events,
-			Switches: new.Sim.Switches - old.Sim.Switches,
-			HeapMax:  new.Sim.HeapMax,
-		},
-		Mem: MemStat{
-			Mallocs:    new.Mem.Mallocs - old.Mem.Mallocs,
-			TotalAlloc: new.Mem.TotalAlloc - old.Mem.TotalAlloc,
-		},
-	}
-	for i := range d.Buckets {
-		d.Buckets[i] = BucketStat{
-			Calls:     new.Buckets[i].Calls - old.Buckets[i].Calls,
-			Sampled:   new.Buckets[i].Sampled - old.Buckets[i].Sampled,
-			SampledNS: new.Buckets[i].SampledNS - old.Buckets[i].SampledNS,
-		}
-	}
-	return d
-}
-
-// ResetForTest zeroes every global counter and restores defaults. Tests
-// only: the global aggregate is otherwise monotone for the process life.
-func ResetForTest() {
-	enabled.Store(false)
-	sampleEvery.Store(DefaultSampleEvery)
-	simEnvs.Store(0)
-	simEvents.Store(0)
-	simSwitches.Store(0)
-	simHeapMax.Store(0)
-	for i := range buckets {
-		buckets[i].calls.Store(0)
-		buckets[i].tick.Store(0)
-		buckets[i].sampled.Store(0)
-		buckets[i].ns.Store(0)
-	}
-}

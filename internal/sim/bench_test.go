@@ -1,8 +1,10 @@
 // Microbenchmarks for the DES kernel's two hot paths: the event heap
-// (schedule/pop with no processes) and the coroutine engine (the
-// two-goroutine-handoff cost of every blocking operation). `make
-// microbench` runs these; `splitbench bench` measures the same paths
-// end-to-end through EventLoopBench.
+// (schedule/pop with no processes) and the process handoff (the
+// two-goroutine park/resume a sim.Env.Go process pays on every blocking
+// call; kernel daemons are run-to-completion handlers and never pay it).
+// `make microbench` runs these after TestScheduleRunZeroAllocs, the
+// deterministic gate on the bare loop. The full stack's speed is measured
+// end to end by _perfbench (see _perfbench/README.md).
 package sim_test
 
 import (

@@ -76,14 +76,6 @@ type Stats struct {
 	HeapMax int
 }
 
-// StatsHook, when non-nil, receives every environment's final Stats as it
-// closes. It exists for host-side self-profiling (internal/perf aggregates
-// kernel counters across the concurrently closing environments of a sweep);
-// install it before running simulations and leave it in place — the hook
-// itself must be safe to call from multiple host goroutines. Simulation code
-// must never read or write it.
-var StatsHook func(Stats)
-
 // Env is a simulation environment: a virtual clock, an event queue, and the
 // set of processes it drives. An Env is not safe for concurrent use; all
 // interaction must happen from within the simulation (process bodies and
@@ -405,12 +397,6 @@ func (e *Env) Close() {
 		e.runProc(p)
 	}
 	e.procs = nil
-	// Report final kernel counters to the host-side profiler, if one is
-	// listening. This is the last thing Close does, so the hook sees the
-	// teardown handoffs too.
-	if StatsHook != nil {
-		StatsHook(e.stats)
-	}
 }
 
 // WaitQueue is a FIFO queue of blocked waiters — parked processes and

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"splitio/internal/metrics"
-	"splitio/internal/perf"
 	"splitio/internal/sim"
 	"splitio/internal/sweep"
 	"splitio/internal/trace"
@@ -18,8 +17,7 @@ import (
 // simCells builds n cells that each construct the full per-cell state an
 // experiment would — a sim.Env, a metrics.Registry, a ring-mode
 // trace.Tracer — exercise it, and assert the per-cell counters from inside
-// the cell. Shared state across workers is exactly what production shares:
-// the global perf counters (Begin/End samples and the sim.StatsHook fold).
+// the cell. Nothing but the Runner is shared across workers.
 func simCells(n int) []sweep.Cell {
 	cells := make([]sweep.Cell, n)
 	for i := range cells {
@@ -27,7 +25,6 @@ func simCells(n int) []sweep.Cell {
 		cells[i] = sweep.Cell{
 			Key: sweep.Key{Experiment: "conc", Config: fmt.Sprintf("cell=%d", i), Seed: seed, Version: "test"},
 			Run: func() ([]byte, error) {
-				pt := perf.Begin(perf.BucketSched)
 				reg := metrics.NewRegistry()
 				work := reg.Counter("cell.work")
 				tr := trace.New()
@@ -52,7 +49,6 @@ func simCells(n int) []sweep.Cell {
 				env.RunAll()
 				events := env.Stats().Events
 				env.Close()
-				perf.End(perf.BucketSched, pt)
 				return []byte(fmt.Sprintf(`{"seed":%d,"events":%d,"work":%.0f}`, seed, events, work.Value())), nil
 			},
 		}
@@ -60,22 +56,13 @@ func simCells(n int) []sweep.Cell {
 	return cells
 }
 
-// TestConcurrentCellsSharedCounters runs cells in parallel with the shared
-// perf counters enabled and the sim.StatsHook installed — the exact sharing
-// pattern `splitbench bench` uses — and checks that per-cell state stays
-// isolated (results byte-identical to a serial run) while the global
-// aggregates account for every cell. Run under -race this is the
+// TestParallelCellsMatchSerial runs full simulation cells on eight workers
+// and checks that per-cell state stays isolated (results byte-identical to
+// a serial run), that the progress callback sees every cell once, and that
+// the Runner's wall counters are coherent. Run under -race this is the
 // determinism contract's concurrency test.
-func TestConcurrentCellsSharedCounters(t *testing.T) {
-	perf.ResetForTest()
-	perf.Enable()
-	defer perf.Disable()
-	prevHook := sim.StatsHook
-	sim.StatsHook = perf.ObserveSim
-	defer func() { sim.StatsHook = prevHook }()
-
+func TestParallelCellsMatchSerial(t *testing.T) {
 	const n = 24
-	before := perf.TakeSnapshot()
 
 	var calls, lastDone atomic.Int64
 	par := &sweep.Runner{Workers: 8}
@@ -106,17 +93,6 @@ func TestConcurrentCellsSharedCounters(t *testing.T) {
 		if !bytes.Equal(parRes[i].Data, serRes[i].Data) {
 			t.Errorf("cell %d: parallel %q != serial %q", i, parRes[i].Data, serRes[i].Data)
 		}
-	}
-
-	d := perf.Delta(before, perf.TakeSnapshot())
-	if got, want := d.Sim.Envs, int64(2*n); got != want {
-		t.Errorf("global perf saw %d envs, want %d", got, want)
-	}
-	if d.Sim.Events <= 0 || d.Sim.Switches <= 0 {
-		t.Errorf("global sim counters did not accumulate: %+v", d.Sim)
-	}
-	if got, want := d.Buckets[perf.BucketSched].Calls, int64(2*n); got != want {
-		t.Errorf("sched bucket calls %d, want %d (one Begin per cell per run)", got, want)
 	}
 
 	wall, max := par.Wall()

@@ -15,7 +15,6 @@ import (
 	"splitio/internal/fs"
 	"splitio/internal/ioctx"
 	"splitio/internal/metrics"
-	"splitio/internal/perf"
 	"splitio/internal/sim"
 	"splitio/internal/trace"
 )
@@ -115,16 +114,13 @@ func (v *VFS) beginSyscall(p *sim.Proc, c *ioctx.Ctx) sim.Time {
 	return p.Now()
 }
 
-// endSyscall records the syscall-layer span. It is the vfs host-CPU
-// profiling point: one sampled bucket span per completed syscall.
+// endSyscall records the syscall-layer span.
 func (v *VFS) endSyscall(p *sim.Proc, c *ioctx.Ctx, op string, start sim.Time, ino, bytes int64, flags trace.Flag) {
-	pt := perf.Begin(perf.BucketVFS)
 	v.tr.Record(trace.Event{
 		Layer: trace.LayerSyscall, Op: op,
 		Req: c.Req, PID: c.PID, Causes: c.Causes(), Prio: c.Prio,
 		Start: start, End: p.Now(), Ino: ino, Bytes: bytes, Flags: flags,
 	})
-	perf.End(perf.BucketVFS, pt)
 }
 
 // FS returns the mounted file system.

@@ -71,14 +71,14 @@ bench:
 # target fails if it regresses.
 microbench:
 	$(GO) test -run '^TestScheduleRunZeroAllocs$$' -count=1 ./internal/sim
-	$(GO) test -bench=. -benchtime=1000x -run '^$$' ./internal/sim ./internal/cache ./internal/ssd
+	$(GO) test -bench=. -benchtime=1000x -benchmem -run '^$$' ./internal/sim ./internal/cache ./internal/ssd
 	$(GO) test -bench=BenchmarkSplitlintRepo -benchtime=1x -run '^$$' ./internal/analysis
 
 # Replays the checked-in seed corpora (testdata/fuzz/...) without fuzzing:
 # a pure regression gate that keeps every once-interesting input passing.
 # Exploration stays manual: go test -fuzz=FuzzWorkloadParse ./internal/workload
 fuzz:
-	$(GO) test -run '^Fuzz' ./internal/workload ./internal/attr
+	$(GO) test -run '^Fuzz' ./internal/workload ./internal/attr ./internal/cache
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./...

@@ -7,9 +7,11 @@
 package cache
 
 import (
+	"container/heap"
 	"container/list"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"time"
 
 	"splitio/internal/causes"
@@ -59,22 +61,68 @@ type MemHooks struct {
 	BufferFree func(ino, idx int64, c causes.Set)
 }
 
-type pageKey struct {
-	ino int64
-	idx int64
-}
-
+// page is one resident page. A page is dirty exactly when it is off the
+// clean LRU (lruElem == nil); only dirty pages carry a cause tag.
 type page struct {
-	key       pageKey
-	dirty     bool
-	wcauses   causes.Set
-	dirtiedAt sim.Time
-	lruElem   *list.Element // non-nil while clean and evictable
+	file    *file
+	idx     int64
+	wcauses causes.Set
+	lruElem *list.Element // non-nil while clean and evictable
 }
 
-type dirtyFile struct {
-	ino   int64
-	pages map[int64]struct{}
+func (pg *page) dirty() bool { return pg.lruElem == nil }
+
+// file is one file's share of the cache: its resident pages, and an ordered
+// index of the dirty ones. Dirty pages are indexed by 64-page group (idx>>6):
+// dirty holds each group's bitmap, and groups is a min-heap of the groups
+// whose bitmap is nonzero, so TakeDirty walks dirty pages lowest-first
+// without collecting or sorting them. Pages leave the dirty index only
+// lowest-first (TakeDirty) or all at once (FreeFile), so only the heap's
+// top group ever empties. A file with no resident pages is dropped.
+type file struct {
+	ino    int64
+	pages  map[int64]*page
+	dirty  map[int64]uint64
+	groups groupHeap
+	ndirty int64
+}
+
+// markDirty adds idx to the dirty index.
+func (f *file) markDirty(idx int64) {
+	g := idx >> 6
+	w := f.dirty[g]
+	if w == 0 {
+		heap.Push(&f.groups, g)
+	}
+	f.dirty[g] = w | 1<<(idx&63)
+	f.ndirty++
+}
+
+// groupHeap is a min-heap of 64-page group numbers.
+type groupHeap []int64
+
+func (h groupHeap) Len() int           { return len(h) }
+func (h groupHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h groupHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *groupHeap) Push(x any)        { *h = append(*h, x.(int64)) }
+
+// Pop drops the last element; callers read the minimum at index 0 first.
+func (h *groupHeap) Pop() any {
+	*h = (*h)[:len(*h)-1]
+	return nil
+}
+
+// dirtyIdxs returns the file's dirty page indices in ascending order.
+func (f *file) dirtyIdxs() []int64 {
+	gs := slices.Clone(f.groups)
+	slices.Sort(gs)
+	idxs := make([]int64, 0, f.ndirty)
+	for _, g := range gs {
+		for w := f.dirty[g]; w != 0; w &= w - 1 {
+			idxs = append(idxs, g<<6|int64(bits.TrailingZeros64(w)))
+		}
+	}
+	return idxs
 }
 
 // WritebackFn flushes up to max dirty pages of file ino to disk on behalf of
@@ -96,11 +144,11 @@ type Cache struct {
 	hooks MemHooks
 	tr    *trace.Tracer
 
-	pages map[pageKey]*page
-	lru   list.List // clean pages, front = LRU
+	files    map[int64]*file
+	resident int64     // pages held across all files
+	lru      list.List // clean pages, front = LRU
 
 	dirtyCount int64
-	dirtyFiles map[int64]*dirtyFile
 	dirtyOrder []int64        // round-robin order of inos with dirty pages
 	inOrder    map[int64]bool // membership in dirtyOrder (no duplicates)
 
@@ -138,8 +186,7 @@ func New(env *sim.Env, cfg Config, wbCtx *ioctx.Ctx) *Cache {
 		env:            env,
 		cfg:            cfg,
 		tr:             trace.Nop,
-		pages:          make(map[pageKey]*page),
-		dirtyFiles:     make(map[int64]*dirtyFile),
+		files:          make(map[int64]*file),
 		inOrder:        make(map[int64]bool),
 		throttleQ:      sim.NewWaitQueue(env),
 		wbWake:         sim.NewWaitQueue(env),
@@ -210,8 +257,8 @@ func (c *Cache) DirtyBytes() int64 { return c.dirtyCount * PageSize }
 
 // FileDirtyPages returns the number of dirty pages of ino.
 func (c *Cache) FileDirtyPages(ino int64) int64 {
-	if df, ok := c.dirtyFiles[ino]; ok {
-		return int64(len(df.pages))
+	if f, ok := c.files[ino]; ok {
+		return f.ndirty
 	}
 	return 0
 }
@@ -224,9 +271,9 @@ func (c *Cache) FileDirtyBytes(ino int64) int64 {
 // DirtyFiles returns the inos that currently have dirty pages, in
 // round-robin writeback order.
 func (c *Cache) DirtyFiles() []int64 {
-	out := make([]int64, 0, len(c.dirtyFiles))
+	var out []int64
 	for _, ino := range c.dirtyOrder {
-		if df, ok := c.dirtyFiles[ino]; ok && len(df.pages) > 0 {
+		if c.FileDirtyPages(ino) > 0 {
 			out = append(out, ino)
 		}
 	}
@@ -251,20 +298,27 @@ func (c *Cache) dirtyThreshold() int64 {
 	return int64(c.cfg.DirtyRatio * float64(c.cfg.TotalPages))
 }
 
+// lookupPage returns the resident page (ino, idx), or nil.
+func (c *Cache) lookupPage(ino, idx int64) *page {
+	if f, ok := c.files[ino]; ok {
+		return f.pages[idx]
+	}
+	return nil
+}
+
 // Peek reports whether page (ino, idx) is resident without promoting it or
 // touching hit/miss statistics. SCS-Token uses it to test for cache hits at
 // the system-call level (the file-system modification Craciunas et al.
 // needed).
 func (c *Cache) Peek(ino, idx int64) bool {
-	_, ok := c.pages[pageKey{ino, idx}]
-	return ok
+	return c.lookupPage(ino, idx) != nil
 }
 
 // Lookup reports whether page (ino, idx) is resident, promoting it in the
 // LRU on a hit.
 func (c *Cache) Lookup(ino, idx int64) bool {
-	pg, ok := c.pages[pageKey{ino, idx}]
-	if !ok {
+	pg := c.lookupPage(ino, idx)
+	if pg == nil {
 		c.statMisses++
 		return false
 	}
@@ -278,25 +332,41 @@ func (c *Cache) Lookup(ino, idx int64) bool {
 // InsertClean adds a clean page (after a disk read), evicting LRU clean
 // pages if RAM is full. Inserting an existing page just promotes it.
 func (c *Cache) InsertClean(ino, idx int64) {
-	key := pageKey{ino, idx}
-	if pg, ok := c.pages[key]; ok {
+	if pg := c.lookupPage(ino, idx); pg != nil {
 		if pg.lruElem != nil {
 			c.lru.MoveToBack(pg.lruElem)
 		}
 		return
 	}
-	c.evictIfFull()
-	pg := &page{key: key}
+	pg := c.insert(ino, idx)
 	pg.lruElem = c.lru.PushBack(pg)
-	c.pages[key] = pg
+}
+
+// insert makes (ino, idx), which must not be resident, a resident page,
+// evicting LRU clean pages first if RAM is full. The caller puts it on the
+// LRU or marks it dirty.
+func (c *Cache) insert(ino, idx int64) *page {
+	c.evictIfFull()
+	f, ok := c.files[ino]
+	if !ok {
+		f = &file{ino: ino, pages: make(map[int64]*page), dirty: make(map[int64]uint64)}
+		c.files[ino] = f
+	}
+	pg := &page{file: f, idx: idx}
+	f.pages[idx] = pg
+	c.resident++
+	return pg
 }
 
 func (c *Cache) evictIfFull() {
-	for int64(len(c.pages)) >= c.cfg.TotalPages && c.lru.Len() > 0 {
-		front := c.lru.Front()
-		pg := front.Value.(*page)
-		c.lru.Remove(front)
-		delete(c.pages, pg.key)
+	for c.resident >= c.cfg.TotalPages && c.lru.Len() > 0 {
+		pg := c.lru.Remove(c.lru.Front()).(*page)
+		f := pg.file
+		delete(f.pages, pg.idx)
+		c.resident--
+		if len(f.pages) == 0 {
+			delete(c.files, f.ino)
+		}
 	}
 }
 
@@ -304,10 +374,9 @@ func (c *Cache) evictIfFull() {
 // buffer-dirty hook. It reports whether the page was already dirty (an
 // overwrite, which costs no new disk I/O).
 func (c *Cache) MarkDirty(ctx *ioctx.Ctx, ino, idx int64) bool {
-	key := pageKey{ino, idx}
 	newCauses := ctx.Causes()
-	pg, ok := c.pages[key]
-	if ok && pg.dirty {
+	pg := c.lookupPage(ino, idx)
+	if pg != nil && pg.dirty() {
 		prev := pg.wcauses
 		c.tagBytes -= int64(prev.TagBytes())
 		pg.wcauses = prev.Union(newCauses)
@@ -327,31 +396,22 @@ func (c *Cache) MarkDirty(ctx *ioctx.Ctx, ino, idx int64) bool {
 		}
 		return true
 	}
-	if !ok {
-		c.evictIfFull()
-		pg = &page{key: key}
-		c.pages[key] = pg
-	} else if pg.lruElem != nil {
+	if pg == nil {
+		pg = c.insert(ino, idx)
+	} else {
 		c.lru.Remove(pg.lruElem)
 		pg.lruElem = nil
 	}
-	pg.dirty = true
 	pg.wcauses = newCauses
-	pg.dirtiedAt = c.env.Now()
+	pg.file.markDirty(idx)
 	c.dirtyCount++
 	c.statDirtied++
 	c.tagBytes += int64(newCauses.TagBytes())
 	c.noteTagMax()
-	df, ok := c.dirtyFiles[ino]
-	if !ok {
-		df = &dirtyFile{ino: ino, pages: make(map[int64]struct{})}
-		c.dirtyFiles[ino] = df
-	}
 	if !c.inOrder[ino] {
 		c.inOrder[ino] = true
 		c.dirtyOrder = append(c.dirtyOrder, ino)
 	}
-	df.pages[idx] = struct{}{}
 	if c.hooks.BufferDirty != nil {
 		c.hooks.BufferDirty(ino, idx, newCauses, causes.None)
 	}
@@ -380,126 +440,143 @@ func (c *Cache) noteTagMax() {
 // (the file system) is responsible for writing them to disk. Pages
 // re-dirtied while in flight simply become dirty again.
 func (c *Cache) TakeDirty(ino int64, max int) (idxs []int64, tags []causes.Set) {
-	df, ok := c.dirtyFiles[ino]
-	if !ok || len(df.pages) == 0 {
+	f, ok := c.files[ino]
+	if !ok || f.ndirty == 0 {
 		return nil, nil
 	}
-	if max <= 0 || max > len(df.pages) {
-		max = len(df.pages)
+	if max <= 0 || int64(max) > f.ndirty {
+		max = int(f.ndirty)
 	}
-	all := make([]int64, 0, len(df.pages))
-	for idx := range df.pages {
-		all = append(all, idx)
+	idxs = make([]int64, 0, max)
+	tags = make([]causes.Set, 0, max)
+	for len(idxs) < max {
+		g := f.groups[0]
+		w := f.dirty[g]
+		for ; w != 0 && len(idxs) < max; w &= w - 1 {
+			idx := g<<6 | int64(bits.TrailingZeros64(w))
+			pg := f.pages[idx]
+			idxs = append(idxs, idx)
+			tags = append(tags, pg.wcauses)
+			c.tagBytes -= int64(pg.wcauses.TagBytes())
+			pg.wcauses = causes.None
+			pg.lruElem = c.lru.PushBack(pg)
+		}
+		if w == 0 {
+			delete(f.dirty, g)
+			heap.Pop(&f.groups)
+		} else {
+			f.dirty[g] = w
+		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	take := all[:max]
-	idxs = make([]int64, 0, len(take))
-	tags = make([]causes.Set, 0, len(take))
-	for _, idx := range take {
-		pg := c.pages[pageKey{ino, idx}]
-		idxs = append(idxs, idx)
-		tags = append(tags, pg.wcauses)
-		c.cleanPage(pg, df)
-	}
+	f.ndirty -= int64(max)
+	c.dirtyCount -= int64(max)
 	c.maybeUnthrottle()
 	return idxs, tags
-}
-
-func (c *Cache) cleanPage(pg *page, df *dirtyFile) {
-	pg.dirty = false
-	c.tagBytes -= int64(pg.wcauses.TagBytes())
-	pg.wcauses = causes.None
-	c.dirtyCount--
-	delete(df.pages, pg.key.idx)
-	if len(df.pages) == 0 {
-		delete(c.dirtyFiles, df.ino)
-	}
-	pg.lruElem = c.lru.PushBack(pg)
 }
 
 // FreeFile drops every page of ino, firing buffer-free hooks for dirty
 // pages (I/O work that vanished before writeback).
 func (c *Cache) FreeFile(ino int64) {
-	if df, ok := c.dirtyFiles[ino]; ok {
-		idxs := make([]int64, 0, len(df.pages))
-		for idx := range df.pages {
-			idxs = append(idxs, idx)
-		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		for _, idx := range idxs {
-			pg := c.pages[pageKey{ino, idx}]
-			if c.hooks.BufferFree != nil {
-				c.hooks.BufferFree(ino, idx, pg.wcauses)
-			}
-			if c.tr.Enabled() {
-				now := c.env.Now()
-				c.tr.Record(trace.Event{
-					Layer: trace.LayerCache, Op: trace.OpBufferFree,
-					PID: 0, Causes: pg.wcauses,
-					Start: now, End: now, Ino: ino, Page: idx,
-				})
-			}
-			c.statFrees++
-			c.tagBytes -= int64(pg.wcauses.TagBytes())
-			c.dirtyCount--
-			delete(c.pages, pg.key)
-		}
-		delete(c.dirtyFiles, ino)
+	f, ok := c.files[ino]
+	if !ok {
+		c.maybeUnthrottle()
+		return
 	}
-	// Drop clean pages too (they are in the LRU).
-	for e := c.lru.Front(); e != nil; {
-		next := e.Next()
-		pg := e.Value.(*page)
-		if pg.key.ino == ino {
-			c.lru.Remove(e)
-			delete(c.pages, pg.key)
+	c.resident -= int64(len(f.pages))
+	for _, idx := range f.dirtyIdxs() {
+		pg := f.pages[idx]
+		if c.hooks.BufferFree != nil {
+			c.hooks.BufferFree(ino, idx, pg.wcauses)
 		}
-		e = next
+		if c.tr.Enabled() {
+			now := c.env.Now()
+			c.tr.Record(trace.Event{
+				Layer: trace.LayerCache, Op: trace.OpBufferFree,
+				PID: 0, Causes: pg.wcauses,
+				Start: now, End: now, Ino: ino, Page: idx,
+			})
+		}
+		c.statFrees++
+		c.tagBytes -= int64(pg.wcauses.TagBytes())
+		c.dirtyCount--
+		delete(f.pages, idx)
 	}
+	// Only clean pages are left.
+	//splitlint:ignore maporder reviewed: unlinking list elements commutes; the surviving LRU order is the same in any order
+	for _, pg := range f.pages {
+		c.lru.Remove(pg.lruElem)
+	}
+	delete(c.files, ino)
 	c.maybeUnthrottle()
 }
 
-// CheckConsistency verifies the cache's internal invariants: the dirty
-// counter matches the per-file dirty sets, page flags agree with set
-// membership, tag accounting matches the dirty pages' tags, and clean pages
-// are exactly the LRU members. Stress tests call it after random workloads.
+// CheckConsistency verifies the cache's internal invariants: every file
+// record is nonempty and owns its pages, the dirty index holds exactly the
+// dirty pages (bitmaps, group heap, per-file and global counts), tag
+// accounting matches the dirty pages' tags, and clean pages are exactly the
+// LRU members. Stress tests call it after random workloads.
 func (c *Cache) CheckConsistency() error {
-	var dirty int64
-	var tagSum int64
-	// Iterate in sorted key order so the first violation reported is the
-	// same on every run (map order would make the error message — exported
-	// output — nondeterministic).
-	keys := make([]pageKey, 0, len(c.pages))
-	for key := range c.pages {
-		keys = append(keys, key)
+	var resident, dirty, tagSum, clean int64
+	// Walk files and pages in sorted order so the first violation reported
+	// is the same on every run (map order would make the error message —
+	// exported output — nondeterministic).
+	inos := make([]int64, 0, len(c.files))
+	for ino := range c.files {
+		inos = append(inos, ino)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ino != keys[j].ino {
-			return keys[i].ino < keys[j].ino
+	slices.Sort(inos)
+	for _, ino := range inos {
+		f := c.files[ino]
+		if f.ino != ino {
+			return fmt.Errorf("cache: file record %d filed under %d", f.ino, ino)
 		}
-		return keys[i].idx < keys[j].idx
-	})
-	for _, key := range keys {
-		pg := c.pages[key]
-		if pg.key != key {
-			return fmt.Errorf("cache: page key mismatch at %v", key)
+		if len(f.pages) == 0 {
+			return fmt.Errorf("cache: empty file record %d", ino)
 		}
-		if pg.dirty {
-			dirty++
-			tagSum += int64(pg.wcauses.TagBytes())
-			df, ok := c.dirtyFiles[key.ino]
-			if !ok {
-				return fmt.Errorf("cache: dirty page %v not in dirtyFiles", key)
-			}
-			if _, ok := df.pages[key.idx]; !ok {
-				return fmt.Errorf("cache: dirty page %v missing from file set", key)
-			}
-			if pg.lruElem != nil {
-				return fmt.Errorf("cache: dirty page %v on clean LRU", key)
-			}
-		} else if pg.lruElem == nil {
-			return fmt.Errorf("cache: clean page %v not on LRU", key)
+		idxs := make([]int64, 0, len(f.pages))
+		for idx := range f.pages {
+			idxs = append(idxs, idx)
 		}
+		slices.Sort(idxs)
+		var fileDirty int64
+		for _, idx := range idxs {
+			key := [2]int64{ino, idx}
+			pg := f.pages[idx]
+			if pg.file != f || pg.idx != idx {
+				return fmt.Errorf("cache: page key mismatch at %v", key)
+			}
+			indexed := f.dirty[idx>>6]&(1<<(idx&63)) != 0
+			switch {
+			case pg.dirty() && !indexed:
+				return fmt.Errorf("cache: dirty page %v missing from the dirty index", key)
+			case !pg.dirty() && indexed:
+				return fmt.Errorf("cache: clean page %v in the dirty index", key)
+			case pg.dirty() == pg.wcauses.Empty():
+				return fmt.Errorf("cache: page %v dirty=%v with tag %v", key, pg.dirty(), pg.wcauses)
+			}
+			if pg.dirty() {
+				fileDirty++
+				tagSum += int64(pg.wcauses.TagBytes())
+			} else {
+				clean++
+			}
+		}
+		if err := f.checkGroups(); err != nil {
+			return err
+		}
+		var indexed int64
+		for _, g := range f.groups {
+			indexed += int64(bits.OnesCount64(f.dirty[g]))
+		}
+		if indexed != fileDirty || f.ndirty != fileDirty {
+			return fmt.Errorf("cache: file %d dirty index holds %d pages, count says %d, flags say %d",
+				ino, indexed, f.ndirty, fileDirty)
+		}
+		resident += int64(len(idxs))
+		dirty += fileDirty
+	}
+	if resident != c.resident {
+		return fmt.Errorf("cache: resident %d != actual %d", c.resident, resident)
 	}
 	if dirty != c.dirtyCount {
 		return fmt.Errorf("cache: dirtyCount %d != actual %d", c.dirtyCount, dirty)
@@ -507,29 +584,32 @@ func (c *Cache) CheckConsistency() error {
 	if tagSum != c.tagBytes {
 		return fmt.Errorf("cache: tagBytes %d != actual %d", c.tagBytes, tagSum)
 	}
-	var inSets int64
-	inos := make([]int64, 0, len(c.dirtyFiles))
-	for ino := range c.dirtyFiles {
-		inos = append(inos, ino)
+	if int64(c.lru.Len()) != clean {
+		return fmt.Errorf("cache: LRU holds %d pages, %d are clean", c.lru.Len(), clean)
 	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
-	for _, ino := range inos {
-		df := c.dirtyFiles[ino]
-		idxs := make([]int64, 0, len(df.pages))
-		for idx := range df.pages {
-			idxs = append(idxs, idx)
-		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		for _, idx := range idxs {
-			pg, ok := c.pages[pageKey{ino, idx}]
-			if !ok || !pg.dirty {
-				return fmt.Errorf("cache: dirtyFiles entry (%d,%d) has no dirty page", ino, idx)
-			}
-			inSets++
+	return nil
+}
+
+// checkGroups verifies that the groups heap is in heap order and holds each
+// key of a nonzero dirty bitmap exactly once.
+func (f *file) checkGroups() error {
+	for i, g := range f.groups {
+		if i > 0 && f.groups[(i-1)/2] > g {
+			return fmt.Errorf("cache: file %d groups heap out of order at %d", f.ino, i)
 		}
 	}
-	if inSets != dirty {
-		return fmt.Errorf("cache: dirty sets hold %d pages, flags say %d", inSets, dirty)
+	gs := slices.Clone(f.groups)
+	slices.Sort(gs)
+	if len(slices.Compact(gs)) != len(f.groups) {
+		return fmt.Errorf("cache: file %d groups heap holds a group twice", f.ino)
+	}
+	for _, g := range gs {
+		if f.dirty[g] == 0 {
+			return fmt.Errorf("cache: file %d heap group %d has no dirty pages", f.ino, g)
+		}
+	}
+	if len(gs) != len(f.dirty) {
+		return fmt.Errorf("cache: file %d heap holds %d groups, %d have dirty pages", f.ino, len(gs), len(f.dirty))
 	}
 	return nil
 }
@@ -598,10 +678,10 @@ func (c *Cache) nextDirtyIno() (int64, bool) {
 			return ino, true
 		}
 	}
-	bestIno, bestN := int64(0), 0
+	bestIno, bestN := int64(0), int64(0)
 	for _, ino := range c.dirtyOrder {
-		if df, ok := c.dirtyFiles[ino]; ok && len(df.pages) > bestN {
-			bestIno, bestN = ino, len(df.pages)
+		if n := c.FileDirtyPages(ino); n > bestN {
+			bestIno, bestN = ino, n
 		}
 	}
 	if bestN == 0 {

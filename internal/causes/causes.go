@@ -11,7 +11,7 @@ package causes
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -32,15 +32,9 @@ func Of(pids ...PID) Set {
 	if len(pids) == 0 {
 		return None
 	}
-	s := append([]PID(nil), pids...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:1]
-	for _, p := range s[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
-		}
-	}
-	return Set{pids: out}
+	s := slices.Clone(pids)
+	slices.Sort(s)
+	return Set{pids: slices.Compact(s)}
 }
 
 // Len returns the number of causes in the set.
@@ -51,8 +45,8 @@ func (s Set) Empty() bool { return len(s.pids) == 0 }
 
 // Contains reports whether pid is in the set.
 func (s Set) Contains(pid PID) bool {
-	i := sort.Search(len(s.pids), func(i int) bool { return s.pids[i] >= pid })
-	return i < len(s.pids) && s.pids[i] == pid
+	_, ok := slices.BinarySearch(s.pids, pid)
+	return ok
 }
 
 // Union returns the set containing every cause in s or t.

@@ -44,6 +44,11 @@ type Ctx struct {
 	// proxyFor is non-empty while the process performs I/O on behalf of
 	// other processes (writeback, journal tasks).
 	proxyFor causes.Set
+
+	// self caches causes.Of(PID), so tagging a page with the process itself
+	// allocates nothing; it is rebuilt when PID changes. Sets are
+	// immutable, so every page may share it.
+	self causes.Set
 }
 
 // Causes returns the cause set this context's I/O should be tagged with:
@@ -52,7 +57,10 @@ func (c *Ctx) Causes() causes.Set {
 	if !c.proxyFor.Empty() {
 		return c.proxyFor
 	}
-	return causes.Of(c.PID)
+	if c.self.Empty() || c.self.PIDs()[0] != c.PID {
+		c.self = causes.Of(c.PID)
+	}
+	return c.self
 }
 
 // BeginProxy marks the context as acting on behalf of the given causes.

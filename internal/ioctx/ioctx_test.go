@@ -44,3 +44,27 @@ func TestTickets(t *testing.T) {
 		}
 	}
 }
+
+// Tagging a page with the process itself is on every buffered write, so it
+// must not allocate; the cached set must still follow PID and proxy changes.
+func TestCausesSelfAllocFree(t *testing.T) {
+	c := &Ctx{PID: 7}
+	if allocs := testing.AllocsPerRun(100, func() { c.Causes() }); allocs != 0 {
+		t.Fatalf("Causes allocates %v times per call, want 0", allocs)
+	}
+	c.PID = 8
+	if !c.Causes().Equal(causes.Of(8)) {
+		t.Fatalf("Causes after PID change = %v, want {8}", c.Causes())
+	}
+	c.BeginProxy(causes.Of(20, 21))
+	if !c.Causes().Equal(causes.Of(20, 21)) {
+		t.Fatalf("proxy causes = %v, want {20,21}", c.Causes())
+	}
+	c.EndProxy()
+	if !c.Causes().Equal(causes.Of(8)) {
+		t.Fatalf("Causes after EndProxy = %v, want {8}", c.Causes())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.Causes() }); allocs != 0 {
+		t.Fatalf("Causes allocates %v times per call after EndProxy, want 0", allocs)
+	}
+}

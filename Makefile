@@ -65,12 +65,13 @@ bench:
 
 # BenchmarkSplitlintRepo is a full cold whole-program analysis per
 # iteration, so it gets its own -benchtime=1x invocation rather than
-# joining the 1000x hot-path line. The zero-alloc test is the asserted
-# complement of the heap microbenchmarks: steady-state schedule/pop must
-# allocate nothing (pooled events, concrete-typed four-ary heap), and the
-# target fails if it regresses.
+# joining the 1000x hot-path line. The zero-alloc tests are the asserted
+# complement of the microbenchmarks: steady-state schedule/pop (pooled
+# events, concrete-typed four-ary heap) and the page-cache hot paths (page
+# slab, interned tags) must allocate nothing, and the target fails if
+# either regresses.
 microbench:
-	$(GO) test -run '^TestScheduleRunZeroAllocs$$' -count=1 ./internal/sim
+	$(GO) test -run '^Test(ScheduleRun|CacheSteadyState)ZeroAllocs$$' -count=1 ./internal/sim ./internal/cache
 	$(GO) test -bench=. -benchtime=1000x -benchmem -run '^$$' ./internal/sim ./internal/cache ./internal/ssd
 	$(GO) test -bench=BenchmarkSplitlintRepo -benchtime=1x -run '^$$' ./internal/analysis
 

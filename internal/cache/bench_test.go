@@ -78,3 +78,19 @@ func BenchmarkCacheTakeDirtyLargeFile(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCacheInsertCleanEvict streams InsertClean over a full cache, so
+// every insert evicts the LRU page: the read-miss path of randread and of
+// fig21's streaming reads and writes.
+func BenchmarkCacheInsertCleanEvict(b *testing.B) {
+	c := benchCache(b)
+	const pages = 1 << 16
+	for i := int64(0); i < pages; i++ {
+		c.InsertClean(1, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.InsertClean(1, pages+int64(i))
+	}
+}

@@ -8,7 +8,6 @@ package cache
 
 import (
 	"container/heap"
-	"container/list"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -61,41 +60,54 @@ type MemHooks struct {
 	BufferFree func(ino, idx int64, c causes.Set)
 }
 
-// page is one resident page. A page is dirty exactly when it is off the
-// clean LRU (lruElem == nil); only dirty pages carry a cause tag.
+// page is one resident page, a slot in Cache.pages. It holds no Go
+// pointer, so the GC never scans the slab. A page is dirty exactly when its
+// tag is nonzero; clean pages are linked into the LRU through prev and
+// next. Slot 0 is the LRU's list head: its next is the LRU end, its prev
+// the most recently used end.
 type page struct {
-	file    *file
-	idx     int64
-	wcauses causes.Set
-	lruElem *list.Element // non-nil while clean and evictable
+	prev, next int32
+	chunk      int32  // slot in Cache.chunks of the page's 64-page group
+	tag        uint32 // interned cause set (0 = empty = clean)
+	pos        uint8  // index within the group
 }
 
-func (pg *page) dirty() bool { return pg.lruElem == nil }
+// chunk is one file's 64-page group (idx>>6): the slab slots of its
+// resident pages, and bitmaps of the resident and the dirty ones. Chunk
+// slot 0 is never used, so 0 means "no chunk".
+type chunk struct {
+	ino, group      int64
+	resident, dirty uint64
+	slots           [64]int32
+}
 
-// file is one file's share of the cache: its resident pages, and an ordered
-// index of the dirty ones. Dirty pages are indexed by 64-page group (idx>>6):
-// dirty holds each group's bitmap, and groups is a min-heap of the groups
-// whose bitmap is nonzero, so TakeDirty walks dirty pages lowest-first
-// without collecting or sorting them. Pages leave the dirty index only
-// lowest-first (TakeDirty) or all at once (FreeFile), so only the heap's
-// top group ever empties. A file with no resident pages is dropped.
+// file is one file's share of the cache: its chunks by group, and a
+// min-heap of the groups that hold dirty pages, so TakeDirty walks dirty
+// pages lowest-first without collecting or sorting them. Pages leave the
+// dirty index only lowest-first (TakeDirty) or all at once (FreeFile), so
+// only the heap's top group ever empties. A chunk with no resident pages
+// is freed, and a file with no chunks is dropped.
 type file struct {
-	ino    int64
-	pages  map[int64]*page
-	dirty  map[int64]uint64
-	groups groupHeap
+	groups map[int64]int32
+	heap   groupHeap
 	ndirty int64
+
+	// One-entry memo of groups: a syscall's run of pages costs one map
+	// lookup per group. lastChunk is 0 when unset.
+	lastGroup int64
+	lastChunk int32
 }
 
-// markDirty adds idx to the dirty index.
-func (f *file) markDirty(idx int64) {
-	g := idx >> 6
-	w := f.dirty[g]
-	if w == 0 {
-		heap.Push(&f.groups, g)
+// chunkOf returns the chunk slot of group g, or 0.
+func (f *file) chunkOf(g int64) int32 {
+	if f.lastChunk != 0 && f.lastGroup == g {
+		return f.lastChunk
 	}
-	f.dirty[g] = w | 1<<(idx&63)
-	f.ndirty++
+	ch := f.groups[g]
+	if ch != 0 {
+		f.lastGroup, f.lastChunk = g, ch
+	}
+	return ch
 }
 
 // groupHeap is a min-heap of 64-page group numbers.
@@ -110,19 +122,6 @@ func (h *groupHeap) Push(x any)        { *h = append(*h, x.(int64)) }
 func (h *groupHeap) Pop() any {
 	*h = (*h)[:len(*h)-1]
 	return nil
-}
-
-// dirtyIdxs returns the file's dirty page indices in ascending order.
-func (f *file) dirtyIdxs() []int64 {
-	gs := slices.Clone(f.groups)
-	slices.Sort(gs)
-	idxs := make([]int64, 0, f.ndirty)
-	for _, g := range gs {
-		for w := f.dirty[g]; w != 0; w &= w - 1 {
-			idxs = append(idxs, g<<6|int64(bits.TrailingZeros64(w)))
-		}
-	}
-	return idxs
 }
 
 // WritebackFn flushes up to max dirty pages of file ino to disk on behalf of
@@ -145,8 +144,20 @@ type Cache struct {
 	tr    *trace.Tracer
 
 	files    map[int64]*file
-	resident int64     // pages held across all files
-	lru      list.List // clean pages, front = LRU
+	resident int64 // pages held across all files
+
+	// Page and chunk slabs with their free slots; slot 0 of each is
+	// reserved (the LRU head, and "no chunk").
+	pages      []page
+	chunks     []chunk
+	freePages  []int32
+	freeChunks []int32
+	causes     interner
+
+	// One-entry memo of files (nil when unset).
+	lastIno  int64
+	lastFile *file
+	groupBuf []int64 // scratch for sortedGroups
 
 	dirtyCount int64
 	dirtyOrder []int64        // round-robin order of inos with dirty pages
@@ -187,6 +198,9 @@ func New(env *sim.Env, cfg Config, wbCtx *ioctx.Ctx) *Cache {
 		cfg:            cfg,
 		tr:             trace.Nop,
 		files:          make(map[int64]*file),
+		pages:          make([]page, 1),
+		chunks:         make([]chunk, 1),
+		causes:         newInterner(),
 		inOrder:        make(map[int64]bool),
 		throttleQ:      sim.NewWaitQueue(env),
 		wbWake:         sim.NewWaitQueue(env),
@@ -257,7 +271,7 @@ func (c *Cache) DirtyBytes() int64 { return c.dirtyCount * PageSize }
 
 // FileDirtyPages returns the number of dirty pages of ino.
 func (c *Cache) FileDirtyPages(ino int64) int64 {
-	if f, ok := c.files[ino]; ok {
+	if f := c.fileOf(ino); f != nil {
 		return f.ndirty
 	}
 	return 0
@@ -298,12 +312,52 @@ func (c *Cache) dirtyThreshold() int64 {
 	return int64(c.cfg.DirtyRatio * float64(c.cfg.TotalPages))
 }
 
-// lookupPage returns the resident page (ino, idx), or nil.
-func (c *Cache) lookupPage(ino, idx int64) *page {
-	if f, ok := c.files[ino]; ok {
-		return f.pages[idx]
+// fileOf returns ino's record, or nil.
+func (c *Cache) fileOf(ino int64) *file {
+	if c.lastFile != nil && c.lastIno == ino {
+		return c.lastFile
 	}
-	return nil
+	f := c.files[ino]
+	if f != nil {
+		c.lastIno, c.lastFile = ino, f
+	}
+	return f
+}
+
+// slot returns the slab slot of resident page (ino, idx), or 0.
+func (c *Cache) slot(ino, idx int64) int32 {
+	f := c.fileOf(ino)
+	if f == nil {
+		return 0
+	}
+	ch := f.chunkOf(idx >> 6)
+	if ch == 0 {
+		return 0
+	}
+	return c.chunks[ch].slots[idx&63]
+}
+
+// lruPush appends clean page s at the most recently used end of the LRU.
+func (c *Cache) lruPush(s int32) {
+	tail := c.pages[0].prev
+	c.pages[s].prev, c.pages[s].next = tail, 0
+	c.pages[tail].next = s
+	c.pages[0].prev = s
+}
+
+// lruUnlink takes page s off the LRU.
+func (c *Cache) lruUnlink(s int32) {
+	p := &c.pages[s]
+	c.pages[p.prev].next = p.next
+	c.pages[p.next].prev = p.prev
+}
+
+// touch promotes page s to the most recently used end if it is clean.
+func (c *Cache) touch(s int32) {
+	if c.pages[s].tag == 0 {
+		c.lruUnlink(s)
+		c.lruPush(s)
+	}
 }
 
 // Peek reports whether page (ino, idx) is resident without promoting it or
@@ -311,20 +365,18 @@ func (c *Cache) lookupPage(ino, idx int64) *page {
 // the system-call level (the file-system modification Craciunas et al.
 // needed).
 func (c *Cache) Peek(ino, idx int64) bool {
-	return c.lookupPage(ino, idx) != nil
+	return c.slot(ino, idx) != 0
 }
 
 // Lookup reports whether page (ino, idx) is resident, promoting it in the
 // LRU on a hit.
 func (c *Cache) Lookup(ino, idx int64) bool {
-	pg := c.lookupPage(ino, idx)
-	if pg == nil {
+	s := c.slot(ino, idx)
+	if s == 0 {
 		c.statMisses++
 		return false
 	}
-	if pg.lruElem != nil {
-		c.lru.MoveToBack(pg.lruElem)
-	}
+	c.touch(s)
 	c.statHits++
 	return true
 }
@@ -332,40 +384,79 @@ func (c *Cache) Lookup(ino, idx int64) bool {
 // InsertClean adds a clean page (after a disk read), evicting LRU clean
 // pages if RAM is full. Inserting an existing page just promotes it.
 func (c *Cache) InsertClean(ino, idx int64) {
-	if pg := c.lookupPage(ino, idx); pg != nil {
-		if pg.lruElem != nil {
-			c.lru.MoveToBack(pg.lruElem)
-		}
+	if s := c.slot(ino, idx); s != 0 {
+		c.touch(s)
 		return
 	}
-	pg := c.insert(ino, idx)
-	pg.lruElem = c.lru.PushBack(pg)
+	c.lruPush(c.insert(ino, idx))
 }
 
 // insert makes (ino, idx), which must not be resident, a resident page,
-// evicting LRU clean pages first if RAM is full. The caller puts it on the
-// LRU or marks it dirty.
-func (c *Cache) insert(ino, idx int64) *page {
+// evicting LRU clean pages first if RAM is full, and returns its slot. The
+// caller puts it on the LRU or marks it dirty.
+func (c *Cache) insert(ino, idx int64) int32 {
 	c.evictIfFull()
-	f, ok := c.files[ino]
-	if !ok {
-		f = &file{ino: ino, pages: make(map[int64]*page), dirty: make(map[int64]uint64)}
+	f := c.fileOf(ino)
+	if f == nil {
+		f = &file{groups: make(map[int64]int32)}
 		c.files[ino] = f
+		c.lastIno, c.lastFile = ino, f
 	}
-	pg := &page{file: f, idx: idx}
-	f.pages[idx] = pg
+	g := idx >> 6
+	ch := f.chunkOf(g)
+	if ch == 0 {
+		if n := len(c.freeChunks); n > 0 {
+			ch = c.freeChunks[n-1]
+			c.freeChunks = c.freeChunks[:n-1]
+		} else {
+			ch = int32(len(c.chunks))
+			c.chunks = append(c.chunks, chunk{})
+		}
+		c.chunks[ch] = chunk{ino: ino, group: g}
+		f.groups[g] = ch
+		f.lastGroup, f.lastChunk = g, ch
+	}
+	var s int32
+	if n := len(c.freePages); n > 0 {
+		s = c.freePages[n-1]
+		c.freePages = c.freePages[:n-1]
+	} else {
+		s = int32(len(c.pages))
+		c.pages = append(c.pages, page{})
+	}
+	pos := uint8(idx & 63)
+	c.pages[s] = page{chunk: ch, pos: pos}
+	k := &c.chunks[ch]
+	k.slots[pos] = s
+	k.resident |= 1 << pos
 	c.resident++
-	return pg
+	return s
 }
 
+// evictIfFull drops clean pages from the LRU end while RAM is full,
+// freeing chunks and file records that empty.
 func (c *Cache) evictIfFull() {
-	for c.resident >= c.cfg.TotalPages && c.lru.Len() > 0 {
-		pg := c.lru.Remove(c.lru.Front()).(*page)
-		f := pg.file
-		delete(f.pages, pg.idx)
+	for c.resident >= c.cfg.TotalPages && c.pages[0].next != 0 {
+		s := c.pages[0].next
+		c.lruUnlink(s)
+		p := c.pages[s]
+		k := &c.chunks[p.chunk]
+		k.slots[p.pos] = 0
+		k.resident &^= 1 << p.pos
+		c.freePages = append(c.freePages, s)
 		c.resident--
-		if len(f.pages) == 0 {
-			delete(c.files, f.ino)
+		if k.resident != 0 {
+			continue
+		}
+		f := c.fileOf(k.ino)
+		delete(f.groups, k.group)
+		if f.lastChunk == p.chunk {
+			f.lastChunk = 0
+		}
+		c.freeChunks = append(c.freeChunks, p.chunk)
+		if len(f.groups) == 0 {
+			delete(c.files, k.ino)
+			c.lastFile = nil
 		}
 	}
 }
@@ -375,35 +466,43 @@ func (c *Cache) evictIfFull() {
 // overwrite, which costs no new disk I/O).
 func (c *Cache) MarkDirty(ctx *ioctx.Ctx, ino, idx int64) bool {
 	newCauses := ctx.Causes()
-	pg := c.lookupPage(ino, idx)
-	if pg != nil && pg.dirty() {
-		prev := pg.wcauses
-		c.tagBytes -= int64(prev.TagBytes())
-		pg.wcauses = prev.Union(newCauses)
-		c.tagBytes += int64(pg.wcauses.TagBytes())
+	h := c.causes.handle(newCauses)
+	s := c.slot(ino, idx)
+	if s != 0 && c.pages[s].tag != 0 {
+		prevTag := c.pages[s].tag
+		tag := c.causes.union(prevTag, h)
+		c.pages[s].tag = tag
+		prev, now := c.causes.sets[prevTag], c.causes.sets[tag]
+		c.tagBytes += int64(now.TagBytes() - prev.TagBytes())
 		c.noteTagMax()
 		c.statOverwrites++
 		if c.hooks.BufferDirty != nil {
-			c.hooks.BufferDirty(ino, idx, pg.wcauses, prev)
+			c.hooks.BufferDirty(ino, idx, now, prev)
 		}
 		if c.tr.Enabled() {
-			now := c.env.Now()
+			t := c.env.Now()
 			c.tr.Record(trace.Event{
 				Layer: trace.LayerCache, Op: trace.OpDirty, Label: "overwrite",
-				Req: ctx.Req, PID: ctx.PID, Causes: pg.wcauses,
-				Start: now, End: now, Ino: ino, Page: idx,
+				Req: ctx.Req, PID: ctx.PID, Causes: now,
+				Start: t, End: t, Ino: ino, Page: idx,
 			})
 		}
 		return true
 	}
-	if pg == nil {
-		pg = c.insert(ino, idx)
+	if s == 0 {
+		s = c.insert(ino, idx)
 	} else {
-		c.lru.Remove(pg.lruElem)
-		pg.lruElem = nil
+		c.lruUnlink(s)
 	}
-	pg.wcauses = newCauses
-	pg.file.markDirty(idx)
+	p := &c.pages[s]
+	p.tag = h
+	k := &c.chunks[p.chunk]
+	f := c.fileOf(ino)
+	if k.dirty == 0 {
+		heap.Push(&f.heap, k.group)
+	}
+	k.dirty |= 1 << p.pos
+	f.ndirty++
 	c.dirtyCount++
 	c.statDirtied++
 	c.tagBytes += int64(newCauses.TagBytes())
@@ -440,8 +539,8 @@ func (c *Cache) noteTagMax() {
 // (the file system) is responsible for writing them to disk. Pages
 // re-dirtied while in flight simply become dirty again.
 func (c *Cache) TakeDirty(ino int64, max int) (idxs []int64, tags []causes.Set) {
-	f, ok := c.files[ino]
-	if !ok || f.ndirty == 0 {
+	f := c.fileOf(ino)
+	if f == nil || f.ndirty == 0 {
 		return nil, nil
 	}
 	if max <= 0 || int64(max) > f.ndirty {
@@ -450,22 +549,22 @@ func (c *Cache) TakeDirty(ino int64, max int) (idxs []int64, tags []causes.Set) 
 	idxs = make([]int64, 0, max)
 	tags = make([]causes.Set, 0, max)
 	for len(idxs) < max {
-		g := f.groups[0]
-		w := f.dirty[g]
+		g := f.heap[0]
+		k := &c.chunks[f.chunkOf(g)]
+		w := k.dirty
 		for ; w != 0 && len(idxs) < max; w &= w - 1 {
-			idx := g<<6 | int64(bits.TrailingZeros64(w))
-			pg := f.pages[idx]
-			idxs = append(idxs, idx)
-			tags = append(tags, pg.wcauses)
-			c.tagBytes -= int64(pg.wcauses.TagBytes())
-			pg.wcauses = causes.None
-			pg.lruElem = c.lru.PushBack(pg)
+			pos := bits.TrailingZeros64(w)
+			s := k.slots[pos]
+			tag := c.causes.sets[c.pages[s].tag]
+			idxs = append(idxs, g<<6|int64(pos))
+			tags = append(tags, tag)
+			c.tagBytes -= int64(tag.TagBytes())
+			c.pages[s].tag = 0
+			c.lruPush(s)
 		}
+		k.dirty = w
 		if w == 0 {
-			delete(f.dirty, g)
-			heap.Pop(&f.groups)
-		} else {
-			f.dirty[g] = w
+			heap.Pop(&f.heap)
 		}
 	}
 	f.ndirty -= int64(max)
@@ -474,50 +573,79 @@ func (c *Cache) TakeDirty(ino int64, max int) (idxs []int64, tags []causes.Set) 
 	return idxs, tags
 }
 
+// sortedGroups returns f's groups in ascending order, in a buffer reused by
+// the next call.
+func (c *Cache) sortedGroups(f *file) []int64 {
+	gs := c.groupBuf[:0]
+	for g := range f.groups {
+		gs = append(gs, g)
+	}
+	slices.Sort(gs)
+	c.groupBuf = gs
+	return gs
+}
+
 // FreeFile drops every page of ino, firing buffer-free hooks for dirty
-// pages (I/O work that vanished before writeback).
+// pages (I/O work that vanished before writeback) in index order.
 func (c *Cache) FreeFile(ino int64) {
-	f, ok := c.files[ino]
-	if !ok {
+	f := c.fileOf(ino)
+	if f == nil {
 		c.maybeUnthrottle()
 		return
 	}
-	c.resident -= int64(len(f.pages))
-	for _, idx := range f.dirtyIdxs() {
-		pg := f.pages[idx]
-		if c.hooks.BufferFree != nil {
-			c.hooks.BufferFree(ino, idx, pg.wcauses)
-		}
-		if c.tr.Enabled() {
-			now := c.env.Now()
-			c.tr.Record(trace.Event{
-				Layer: trace.LayerCache, Op: trace.OpBufferFree,
-				PID: 0, Causes: pg.wcauses,
-				Start: now, End: now, Ino: ino, Page: idx,
-			})
-		}
-		c.statFrees++
-		c.tagBytes -= int64(pg.wcauses.TagBytes())
-		c.dirtyCount--
-		delete(f.pages, idx)
+	gs := c.sortedGroups(f)
+	for _, g := range gs {
+		c.resident -= int64(bits.OnesCount64(c.chunks[f.groups[g]].resident))
 	}
-	// Only clean pages are left.
-	//splitlint:ignore maporder reviewed: unlinking list elements commutes; the surviving LRU order is the same in any order
-	for _, pg := range f.pages {
-		c.lru.Remove(pg.lruElem)
+	for _, g := range gs {
+		ch := f.groups[g]
+		for w := c.chunks[ch].dirty; w != 0; w &= w - 1 {
+			pos := bits.TrailingZeros64(w)
+			tag := c.causes.sets[c.pages[c.chunks[ch].slots[pos]].tag]
+			idx := g<<6 | int64(pos)
+			if c.hooks.BufferFree != nil {
+				c.hooks.BufferFree(ino, idx, tag)
+			}
+			if c.tr.Enabled() {
+				now := c.env.Now()
+				c.tr.Record(trace.Event{
+					Layer: trace.LayerCache, Op: trace.OpBufferFree,
+					PID: 0, Causes: tag,
+					Start: now, End: now, Ino: ino, Page: idx,
+				})
+			}
+			c.statFrees++
+			c.tagBytes -= int64(tag.TagBytes())
+			c.dirtyCount--
+		}
+	}
+	for _, g := range gs {
+		ch := f.groups[g]
+		k := &c.chunks[ch]
+		for w := k.resident; w != 0; w &= w - 1 {
+			s := k.slots[bits.TrailingZeros64(w)]
+			if c.pages[s].tag == 0 {
+				c.lruUnlink(s)
+			}
+			c.freePages = append(c.freePages, s)
+		}
+		c.freeChunks = append(c.freeChunks, ch)
 	}
 	delete(c.files, ino)
+	c.lastFile = nil
 	c.maybeUnthrottle()
 }
 
 // CheckConsistency verifies the cache's internal invariants: every file
-// record is nonempty and owns its pages, the dirty index holds exactly the
-// dirty pages (bitmaps, group heap, per-file and global counts), tag
-// accounting matches the dirty pages' tags, and clean pages are exactly the
-// LRU members. Stress tests call it after random workloads.
+// record is nonempty and owns its chunks, every chunk's slots, bitmaps and
+// pages agree, the dirty index holds exactly the dirty pages (bitmaps, group
+// heap, per-file and global counts), tag accounting matches the dirty
+// pages' tags, the clean pages are exactly the LRU members, every slab slot
+// is either in use or free, and the memos name live records. Stress tests
+// call it after random workloads.
 func (c *Cache) CheckConsistency() error {
-	var resident, dirty, tagSum, clean int64
-	// Walk files and pages in sorted order so the first violation reported
+	var resident, dirty, tagSum, clean, nchunks int64
+	// Walk files and groups in sorted order so the first violation reported
 	// is the same on every run (map order would make the error message —
 	// exported output — nondeterministic).
 	inos := make([]int64, 0, len(c.files))
@@ -527,53 +655,58 @@ func (c *Cache) CheckConsistency() error {
 	slices.Sort(inos)
 	for _, ino := range inos {
 		f := c.files[ino]
-		if f.ino != ino {
-			return fmt.Errorf("cache: file record %d filed under %d", f.ino, ino)
-		}
-		if len(f.pages) == 0 {
+		if len(f.groups) == 0 {
 			return fmt.Errorf("cache: empty file record %d", ino)
 		}
-		idxs := make([]int64, 0, len(f.pages))
-		for idx := range f.pages {
-			idxs = append(idxs, idx)
+		if f.lastChunk != 0 && f.groups[f.lastGroup] != f.lastChunk {
+			return fmt.Errorf("cache: file %d group memo names a freed chunk", ino)
 		}
-		slices.Sort(idxs)
-		var fileDirty int64
-		for _, idx := range idxs {
-			key := [2]int64{ino, idx}
-			pg := f.pages[idx]
-			if pg.file != f || pg.idx != idx {
-				return fmt.Errorf("cache: page key mismatch at %v", key)
+		var fileDirty, dirtyGroups int64
+		for _, g := range c.sortedGroups(f) {
+			ch := f.groups[g]
+			k := &c.chunks[ch]
+			if ch <= 0 || int(ch) >= len(c.chunks) || k.ino != ino || k.group != g || k.resident == 0 || k.dirty&^k.resident != 0 {
+				return fmt.Errorf("cache: chunk %d of file %d group %d is corrupt", ch, ino, g)
 			}
-			indexed := f.dirty[idx>>6]&(1<<(idx&63)) != 0
-			switch {
-			case pg.dirty() && !indexed:
-				return fmt.Errorf("cache: dirty page %v missing from the dirty index", key)
-			case !pg.dirty() && indexed:
-				return fmt.Errorf("cache: clean page %v in the dirty index", key)
-			case pg.dirty() == pg.wcauses.Empty():
-				return fmt.Errorf("cache: page %v dirty=%v with tag %v", key, pg.dirty(), pg.wcauses)
+			if k.dirty != 0 {
+				dirtyGroups++
 			}
-			if pg.dirty() {
-				fileDirty++
-				tagSum += int64(pg.wcauses.TagBytes())
-			} else {
-				clean++
+			for pos := range k.slots {
+				key := [2]int64{ino, g<<6 | int64(pos)}
+				s := k.slots[pos]
+				if (s != 0) != (k.resident>>pos&1 == 1) {
+					return fmt.Errorf("cache: page %v slot %d disagrees with the resident bitmap", key, s)
+				}
+				if s == 0 {
+					continue
+				}
+				p := c.pages[s]
+				isDirty := k.dirty>>pos&1 == 1
+				switch {
+				case p.chunk != ch || int(p.pos) != pos:
+					return fmt.Errorf("cache: page key mismatch at %v", key)
+				case isDirty != (p.tag != 0) || int(p.tag) >= len(c.causes.sets):
+					return fmt.Errorf("cache: page %v dirty=%v with tag %d", key, isDirty, p.tag)
+				case isDirty:
+					fileDirty++
+					tagSum += int64(c.causes.sets[p.tag].TagBytes())
+				default:
+					clean++
+				}
 			}
+			resident += int64(bits.OnesCount64(k.resident))
 		}
-		if err := f.checkGroups(); err != nil {
+		if err := c.checkHeap(ino, f, dirtyGroups); err != nil {
 			return err
 		}
-		var indexed int64
-		for _, g := range f.groups {
-			indexed += int64(bits.OnesCount64(f.dirty[g]))
+		if f.ndirty != fileDirty {
+			return fmt.Errorf("cache: file %d dirty count says %d, bitmaps say %d", ino, f.ndirty, fileDirty)
 		}
-		if indexed != fileDirty || f.ndirty != fileDirty {
-			return fmt.Errorf("cache: file %d dirty index holds %d pages, count says %d, flags say %d",
-				ino, indexed, f.ndirty, fileDirty)
-		}
-		resident += int64(len(idxs))
 		dirty += fileDirty
+		nchunks += int64(len(f.groups))
+	}
+	if c.lastFile != nil && c.files[c.lastIno] != c.lastFile {
+		return fmt.Errorf("cache: file memo names a dropped record %d", c.lastIno)
 	}
 	if resident != c.resident {
 		return fmt.Errorf("cache: resident %d != actual %d", c.resident, resident)
@@ -584,32 +717,49 @@ func (c *Cache) CheckConsistency() error {
 	if tagSum != c.tagBytes {
 		return fmt.Errorf("cache: tagBytes %d != actual %d", c.tagBytes, tagSum)
 	}
-	if int64(c.lru.Len()) != clean {
-		return fmt.Errorf("cache: LRU holds %d pages, %d are clean", c.lru.Len(), clean)
+	if resident+int64(len(c.freePages)) != int64(len(c.pages)-1) || nchunks+int64(len(c.freeChunks)) != int64(len(c.chunks)-1) {
+		return fmt.Errorf("cache: slabs leak slots: %d pages (%d resident, %d free), %d chunks (%d used, %d free)",
+			len(c.pages)-1, resident, len(c.freePages), len(c.chunks)-1, nchunks, len(c.freeChunks))
+	}
+	// Walk the LRU: links agree both ways, and every member is a resident
+	// clean page, so with the count the members are the clean pages.
+	var n int64
+	for s := int32(0); n <= clean; n++ {
+		p := c.pages[s]
+		if c.pages[p.next].prev != s {
+			return fmt.Errorf("cache: LRU link broken after slot %d", s)
+		}
+		if s = p.next; s == 0 {
+			break
+		}
+		if q := c.pages[s]; q.tag != 0 || c.chunks[q.chunk].slots[q.pos] != s {
+			return fmt.Errorf("cache: LRU holds slot %d, not a resident clean page", s)
+		}
+	}
+	if n != clean {
+		return fmt.Errorf("cache: LRU holds %d pages, %d are clean", n, clean)
 	}
 	return nil
 }
 
-// checkGroups verifies that the groups heap is in heap order and holds each
-// key of a nonzero dirty bitmap exactly once.
-func (f *file) checkGroups() error {
-	for i, g := range f.groups {
-		if i > 0 && f.groups[(i-1)/2] > g {
-			return fmt.Errorf("cache: file %d groups heap out of order at %d", f.ino, i)
+// checkHeap verifies that f's group heap is in heap order and holds each
+// of its dirtyGroups groups with dirty pages exactly once.
+func (c *Cache) checkHeap(ino int64, f *file, dirtyGroups int64) error {
+	for i, g := range f.heap {
+		if i > 0 && f.heap[(i-1)/2] > g {
+			return fmt.Errorf("cache: file %d groups heap out of order at %d", ino, i)
+		}
+		if ch := f.groups[g]; ch == 0 || c.chunks[ch].dirty == 0 {
+			return fmt.Errorf("cache: file %d heap group %d has no dirty pages", ino, g)
 		}
 	}
-	gs := slices.Clone(f.groups)
+	gs := slices.Clone(f.heap)
 	slices.Sort(gs)
-	if len(slices.Compact(gs)) != len(f.groups) {
-		return fmt.Errorf("cache: file %d groups heap holds a group twice", f.ino)
+	if len(slices.Compact(gs)) != len(f.heap) {
+		return fmt.Errorf("cache: file %d groups heap holds a group twice", ino)
 	}
-	for _, g := range gs {
-		if f.dirty[g] == 0 {
-			return fmt.Errorf("cache: file %d heap group %d has no dirty pages", f.ino, g)
-		}
-	}
-	if len(gs) != len(f.dirty) {
-		return fmt.Errorf("cache: file %d heap holds %d groups, %d have dirty pages", f.ino, len(gs), len(f.dirty))
+	if int64(len(gs)) != dirtyGroups {
+		return fmt.Errorf("cache: file %d heap holds %d groups, %d have dirty pages", ino, len(gs), dirtyGroups)
 	}
 	return nil
 }

@@ -20,6 +20,7 @@ package fs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -478,13 +479,23 @@ func (f *FS) submitReadRuns(ctx *ioctx.Ctx, file *File, idxs []int64) []*sim.Com
 	return dones
 }
 
+// lookupBlock maps fileBlk to its disk block by binary search over the
+// file's sorted, non-overlapping extents.
 func (f *FS) lookupBlock(file *File, fileBlk int64) (int64, bool) {
-	for _, e := range file.extents {
-		if fileBlk >= e.fileBlk && fileBlk < e.fileBlk+e.n {
-			return e.diskBlk + (fileBlk - e.fileBlk), true
-		}
+	i := extentAt(file.extents, fileBlk) - 1
+	if i < 0 {
+		return 0, false
+	}
+	if e := file.extents[i]; fileBlk < e.fileBlk+e.n {
+		return e.diskBlk + (fileBlk - e.fileBlk), true
 	}
 	return 0, false
+}
+
+// extentAt returns the number of extents starting at or before fileBlk,
+// which is where an extent starting just after fileBlk belongs.
+func extentAt(extents []extent, fileBlk int64) int {
+	return sort.Search(len(extents), func(i int) bool { return extents[i].fileBlk > fileBlk })
 }
 
 // allocate maps fileBlk..fileBlk+n-1 to fresh disk blocks (delayed
@@ -500,10 +511,8 @@ func (f *FS) allocate(file *File, fileBlk, n int64) int64 {
 			return diskBlk
 		}
 	}
-	file.extents = append(file.extents, extent{fileBlk: fileBlk, diskBlk: diskBlk, n: n})
-	sort.Slice(file.extents, func(i, j int) bool {
-		return file.extents[i].fileBlk < file.extents[j].fileBlk
-	})
+	e := extent{fileBlk: fileBlk, diskBlk: diskBlk, n: n}
+	file.extents = slices.Insert(file.extents, extentAt(file.extents, fileBlk), e)
 	return diskBlk
 }
 

@@ -68,6 +68,63 @@ func TestExtentMappingProperties(t *testing.T) {
 	}
 }
 
+// TestLookupBlockMatchesLinearScan drives random allocate and remapRange
+// sequences (allocate only over unmapped runs, as flushes call it, and
+// often right after the last extent so the merge rule fires) and checks
+// that the extents stay sorted and non-overlapping and that the binary
+// search in lookupBlock agrees with a linear scan on every block.
+func TestLookupBlockMatchesLinearScan(t *testing.T) {
+	linear := func(file *File, fileBlk int64) (int64, bool) {
+		for _, e := range file.extents {
+			if fileBlk >= e.fileBlk && fileBlk < e.fileBlk+e.n {
+				return e.diskBlk + (fileBlk - e.fileBlk), true
+			}
+		}
+		return 0, false
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := newRig(t, Ext4Config())
+		file := &File{}
+		for op := 0; op < 64; op++ {
+			blk, n := rng.Int63n(256), 1+rng.Int63n(16)
+			if last := len(file.extents) - 1; last >= 0 && rng.Intn(3) == 0 {
+				blk = file.extents[last].fileBlk + file.extents[last].n
+			}
+			if rng.Intn(4) == 0 {
+				r.fs.remapRange(file, blk, n, 1<<20+rng.Int63n(1<<20))
+			} else {
+				m := int64(0)
+				for ; m < n; m++ {
+					if _, mapped := linear(file, blk+m); mapped {
+						break
+					}
+				}
+				if m > 0 {
+					r.fs.allocate(file, blk, m)
+				}
+			}
+			for i := 1; i < len(file.extents); i++ {
+				if prev := file.extents[i-1]; prev.fileBlk+prev.n > file.extents[i].fileBlk {
+					t.Logf("seed %d op %d: extents %d and %d overlap or are unsorted", seed, op, i-1, i)
+					return false
+				}
+			}
+			for b := int64(-1); b < 300; b++ {
+				want, wantOK := linear(file, b)
+				if got, ok := r.fs.lookupBlock(file, b); got != want || ok != wantOK {
+					t.Logf("seed %d op %d: lookupBlock(%d) = %d,%v, want %d,%v", seed, op, b, got, ok, want, wantOK)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestJournalWrap drives far more journal blocks than the journal region
 // holds; the head must wrap and stay inside the region.
 func TestJournalWrap(t *testing.T) {

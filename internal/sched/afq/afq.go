@@ -78,6 +78,11 @@ type Sched struct {
 	// writeback").
 	fileOwner  map[int64]causes.PID
 	ownerFiles map[causes.PID][]int64
+	// lastOwned is the last ino found in fileOwner (valid once hasOwned
+	// is set). Entries are never deleted, so a hit stays exact and a run
+	// of pages of one file costs one map lookup.
+	lastOwned int64
+	hasOwned  bool
 
 	// PerProcDirty caps each process's own dirty bytes before its write
 	// admission blocks; the stride-ordered drain then paces admissions.
@@ -148,12 +153,17 @@ func (s *Sched) Attach(k *core.Kernel) {
 // bufferDirty attributes dirty files to their first user-process cause so
 // the pacer knows whose data to drain next.
 func (s *Sched) bufferDirty(ino, idx int64, now causes.Set, prev causes.Set) {
+	if s.hasOwned && s.lastOwned == ino {
+		return
+	}
 	if _, ok := s.fileOwner[ino]; ok {
+		s.lastOwned, s.hasOwned = ino, true
 		return
 	}
 	for _, pid := range now.PIDs() {
 		if pid >= 100 { // user processes
 			s.fileOwner[ino] = pid
+			s.lastOwned, s.hasOwned = ino, true
 			s.ownerFiles[pid] = append(s.ownerFiles[pid], ino)
 			return
 		}

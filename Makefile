@@ -67,11 +67,12 @@ bench:
 # iteration, so it gets its own -benchtime=1x invocation rather than
 # joining the 1000x hot-path line. The zero-alloc tests are the asserted
 # complement of the microbenchmarks: steady-state schedule/pop (pooled
-# events, concrete-typed four-ary heap) and the page-cache hot paths (page
-# slab, interned tags) must allocate nothing, and the target fails if
-# either regresses.
+# events, concrete-typed four-ary heap), a warm process Sleep round trip
+# (prebuilt wake, coroutine switch) and the page-cache hot paths (page
+# slab, interned tags) must allocate nothing, and the target fails if any
+# of them regresses.
 microbench:
-	$(GO) test -run '^Test(ScheduleRun|CacheSteadyState)ZeroAllocs$$' -count=1 ./internal/sim ./internal/cache
+	$(GO) test -run '^Test(ScheduleRun|ProcSwitch|CacheSteadyState)ZeroAllocs$$' -count=1 ./internal/sim ./internal/cache
 	$(GO) test -bench=. -benchtime=1000x -benchmem -run '^$$' ./internal/sim ./internal/cache ./internal/ssd
 	$(GO) test -bench=BenchmarkSplitlintRepo -benchtime=1x -run '^$$' ./internal/analysis
 

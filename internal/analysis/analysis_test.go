@@ -3,7 +3,9 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -108,14 +110,59 @@ func TestHotPurityFixtures(t *testing.T) {
 		"internal/sched/myelv/waitfn.go:33: [hotpurity] blocking call to time.Sleep on the event-loop hot path: reachable via internal/sched/myelv.expire (internal/sched/myelv.expire is a event-loop callback (sim handler registration: Schedule/ScheduleAt/OnComplete/WaitFn/WaitTimeoutFn/WaitAllFn))",
 		"internal/sched/myelv/waitfn.go:38: [hotpurity] blocking channel receive on the event-loop hot path: reachable via internal/sched/myelv.barrier (internal/sched/myelv.barrier is a event-loop callback (sim handler registration: Schedule/ScheduleAt/OnComplete/WaitFn/WaitTimeoutFn/WaitAllFn))",
 		"internal/sched/myelv/waitfn.go:43: [hotpurity] go statement (goroutine spawn) on the event-loop hot path: reachable via internal/sched/myelv.pump (internal/sched/myelv.pump is a event-loop callback (sim handler registration: Schedule/ScheduleAt/OnComplete/WaitFn/WaitTimeoutFn/WaitAllFn))",
+		"internal/sim/sim.go:44: [hotpurity] blocking call to sim.(*Proc).block (process park) on the event-loop hot path: reachable via internal/sched/myelv.settle -> (*internal/sim.Proc).Sleep (internal/sched/myelv.settle is a //splitlint:hot function)",
 		"internal/util/util.go:6: [hotpurity] blocking channel send on the event-loop hot path: reachable via (*internal/sched/myelv.Elv).Add -> internal/util.Notify ((*internal/sched/myelv.Elv).Add is a block.Elevator implementation (scheduler dispatch/completion path))",
 	})
 	// The good fixture has blocking code (util.Drain, a blocking Env.Go
-	// process body) that no hot root reaches, plus pure continuations at
+	// process body that sleeps) that no hot root reaches, plus pure continuations at
 	// every continuation registration point (WaitFn/WaitTimeoutFn/
 	// WaitAllFn) and a scheduled callback: reachability decides, not
 	// package membership.
 	assertFindings(t, fixture(t, AnalyzerHotPurity, "hotpurity/good"), nil)
+}
+
+// TestHotPurityRealProcPark runs hotpurity over the real sim package and
+// a //splitlint:hot function that sleeps a process. The process switch is
+// a call through iter.Pull's func values, so only the park rule can see
+// it: the finding must name the park, whatever shape the stubs have.
+func TestHotPurityRealProcPark(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "sim", "sim.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":              "module splitio\n\ngo 1.22\n",
+		"internal/sim/sim.go": string(src),
+		"internal/nap/nap.go": `package nap
+
+import (
+	"time"
+
+	"splitio/internal/sim"
+)
+
+//splitlint:hot
+func settle(p *sim.Proc) { p.Sleep(time.Millisecond) }
+`,
+	}
+	for name, body := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	findings, err := Run(root, []*Analyzer{AnalyzerHotPurity})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := "blocking call to sim.(*Proc).block (process park) on the event-loop hot path: reachable via internal/nap.settle -> (*internal/sim.Proc).Sleep"
+	if len(findings) != 1 || findings[0].File != "internal/sim/sim.go" || !strings.Contains(findings[0].Message, want) {
+		t.Fatalf("findings = %v, want one in internal/sim/sim.go containing %q", findings, want)
+	}
 }
 
 func TestTimeTaintFixtures(t *testing.T) {

@@ -38,7 +38,7 @@ type opKind int
 const (
 	opGo        opKind = iota // go statement
 	opChanOp                  // channel send/recv/select/range-over-channel
-	opBlockCall               // call to a known blocking function (mutex, wait, sleep)
+	opBlockCall               // call to a known blocking function (mutex, wait, sleep, process park)
 	opHostCall                // call into a host-state package (os, syscall, net)
 	opAlloc                   // heap allocation (only reported inside //splitlint:hot)
 )
@@ -413,6 +413,13 @@ func (b *cgBuilder) recordCall(n *cgNode, pkg *Package, call *ast.CallExpr) {
 		b.pendingHandlers = append(b.pendingHandlers, pendingHandler{pkg, call.Args[argIdx]})
 	}
 
+	// The process park: the coroutine switch inside it is a call through
+	// a func value, which no edge resolves, so the park itself is the op.
+	if b.isProcPark(callee) {
+		n.ops = append(n.ops, funcOp{opBlockCall, call.Pos(), "sim.(*Proc).block (process park)"})
+		return
+	}
+
 	if callee.Pkg() != nil && modulePackage(b.m.ModPath, callee.Pkg().Path()) {
 		// Module callee: static edge, or conservative interface fan-out.
 		if target, ok := b.g.funcs[callee]; ok {
@@ -510,6 +517,14 @@ func (b *cgBuilder) handlerRegistration(fn *types.Func) (argIdx int, ok bool) {
 		return 1, true // WaitAllFn(cs []*Completion, k func())
 	}
 	return 0, false
+}
+
+// isProcPark reports whether fn is sim.(*Proc).block, where every
+// blocking process call (Sleep, Wait, WaitTimeout) hands control back to
+// the event loop.
+func (b *cgBuilder) isProcPark(fn *types.Func) bool {
+	return fn.Pkg() != nil && fn.Pkg().Path() == b.m.ModPath+"/internal/sim" &&
+		receiverTypeName(fn) == "Proc" && fn.Name() == "block"
 }
 
 // receiverTypeName returns the bare receiver type name of a method ("Env"

@@ -27,8 +27,9 @@ import (
 //
 // Violations in the reachable set: goroutine spawns, channel operations
 // (send/recv/select/range), blocking stdlib calls (mutex lock, WaitGroup /
-// Cond wait, Once.Do, time.Sleep), and any call into a host-state package
-// (os, syscall, net, os/exec). sync/atomic is allowed: atomics never block.
+// Cond wait, Once.Do, time.Sleep), a sim process park, and any call into a
+// host-state package (os, syscall, net, os/exec). sync/atomic is allowed:
+// atomics never block.
 //
 // Additionally, //splitlint:hot functions (and their nested literals) must
 // not allocate: make/new, &T{...}, slice/map literals, closures, and
@@ -36,10 +37,12 @@ import (
 // literals and append to an existing slice are allowed (amortized /
 // stack-allocated).
 //
-// The sim kernel's own coroutine handoff (runProc / block) necessarily
-// performs the park/resume channel operations; those lines carry
-// //splitlint:ignore hotpurity directives with reasons — they are the
-// mechanism, not a violation of it.
+// The sim kernel switches processes through iter.Pull's next/yield func
+// values, calls that no edge resolves and that contain no channel operation.
+// So the park itself is the op: a call to sim.(*Proc).block, where Sleep,
+// Wait and WaitTimeout hand control back to the event loop, is a blocking
+// call ("process park"). The resume side (runProc) is how the event loop
+// runs a process and is not flagged.
 var AnalyzerHotPurity = &Analyzer{
 	Name:      "hotpurity",
 	Doc:       "event-loop-reachable code must not block, spawn goroutines, or allocate in //splitlint:hot regions",

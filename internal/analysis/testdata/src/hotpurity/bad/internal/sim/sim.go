@@ -1,6 +1,9 @@
 package sim
 
-import "time"
+import (
+	"iter"
+	"time"
+)
 
 // Time is virtual time.
 type Time int64
@@ -11,11 +14,35 @@ type Env struct{}
 
 func (e *Env) Schedule(d time.Duration, fn func()) { _ = d; _ = fn }
 func (e *Env) ScheduleAt(at Time, fn func())       { _ = at; _ = fn }
-func (e *Env) Go(name string, fn func(p *Proc))    { _ = name; _ = fn }
 func (e *Env) Now() Time                           { return 0 }
 
-// Proc is a coroutine process handle; its bodies MAY block.
-type Proc struct{}
+// Proc is a coroutine process handle; its bodies MAY block. Like the real
+// engine it switches through iter.Pull's func values, which no call edge
+// resolves: the analyzer recognizes the park, Proc.block, by shape.
+type Proc struct {
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+}
+
+func (e *Env) Go(name string, fn func(p *Proc)) {
+	_ = name
+	p := &Proc{}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		fn(p)
+	})
+	e.Schedule(0, func() { e.runProc(p) })
+}
+
+func (e *Env) runProc(p *Proc) { p.next() }
+
+func (p *Proc) block() { p.yield(struct{}{}) }
+
+// Sleep parks the process for d of virtual time.
+func (p *Proc) Sleep(d time.Duration) {
+	_ = d
+	p.block()
+}
 
 // Completion is a stub completion future.
 type Completion struct{}

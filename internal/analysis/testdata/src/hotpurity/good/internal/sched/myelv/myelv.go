@@ -1,6 +1,8 @@
 package myelv
 
 import (
+	"time"
+
 	"splitio/internal/block"
 	"splitio/internal/sim"
 	"splitio/internal/util"
@@ -41,6 +43,7 @@ func Arm(env *sim.Env) {
 // the sim kernel), so Env.Go arguments are not hot roots.
 func Pump(env *sim.Env) {
 	env.Go("pump", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
 		ch := make(chan int)
 		util.Drain(ch)
 	})

@@ -15,14 +15,16 @@ func (s *Sched) Snapshot() sched.Snap {
 	snap := sched.Snap{Name: s.Name()}
 	snap.AddInt("reads_queued", len(s.readQ))
 	snap.AddInt("writes_queued", len(s.writeQ))
-	snap.AddInt("prelim_charges", len(s.prelim))
-	names := make([]string, 0, len(s.accounts))
-	for a := range s.accounts {
-		names = append(names, a)
+	snap.AddInt("prelim_charges", s.nPrelim)
+	names := make([]string, 0, len(s.acctIdx))
+	for a, i := range s.acctIdx {
+		if s.buckets[i] != nil {
+			names = append(names, a)
+		}
 	}
 	sort.Strings(names)
 	for _, a := range names {
-		snap.Add("tokens."+a, s.accounts[a].Tokens(s.env.Now()))
+		snap.Add("tokens."+a, s.bucketNamed(a).Tokens(s.env.Now()))
 	}
 	return snap
 }

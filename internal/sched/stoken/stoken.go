@@ -35,14 +35,14 @@ import (
 	"splitio/internal/vfs"
 )
 
-type pageKey struct {
-	ino int64
-	idx int64
-}
+// noAccount is the account index of a pid that bills no account.
+const noAccount = -1
 
+// prelimCharge is one page's outstanding preliminary charge: the account
+// (by index) it was billed to and how much.
 type prelimCharge struct {
-	account string
-	amount  float64
+	acct   int32
+	amount float64
 }
 
 // Sched is the Split-Token scheduler; it is its own block elevator.
@@ -51,11 +51,18 @@ type Sched struct {
 	k     *core.Kernel
 	layer *block.Layer
 
-	accounts   map[string]*tokenbucket.Bucket
-	pidAccount map[causes.PID]string
+	// Accounts are named by a small index: acctIdx interns each name seen
+	// (from SetLimit or the process table), and buckets holds the index's
+	// bucket, nil until SetLimit gives the account a limit.
+	acctIdx    map[string]int32
+	buckets    []*tokenbucket.Bucket
+	pidAccount map[causes.PID]int32
 
-	est    *core.WriteEstimator
-	prelim map[pageKey]prelimCharge
+	est *core.WriteEstimator
+	// prelim holds outstanding preliminary charges by inode, then page
+	// index; nPrelim counts them.
+	prelim  map[int64]map[int64]prelimCharge
+	nPrelim int
 
 	writeQ []*block.Request
 	readQ  []*block.Request
@@ -92,9 +99,9 @@ type Sched struct {
 func New(env *sim.Env) core.Scheduler {
 	return &Sched{
 		env:                env,
-		accounts:           make(map[string]*tokenbucket.Bucket),
-		pidAccount:         make(map[causes.PID]string),
-		prelim:             make(map[pageKey]prelimCharge),
+		acctIdx:            make(map[string]int32),
+		pidAccount:         make(map[causes.PID]int32),
+		prelim:             make(map[int64]map[int64]prelimCharge),
 		PrelimRandBytes:    256 << 10,
 		AnticipationWindow: 500 * time.Microsecond,
 		MaxReadWait:        20 * time.Millisecond,
@@ -115,16 +122,36 @@ func (s *Sched) Elevator() block.Elevator { return s }
 // SetLimit creates (or replaces) an account refilled at rate normalized
 // bytes/second with burst capacity cap.
 func (s *Sched) SetLimit(account string, rate, cap float64) {
-	s.accounts[account] = tokenbucket.New(rate, cap)
+	s.buckets[s.intern(account)] = tokenbucket.New(rate, cap)
 }
 
 // Tokens returns the account balance now.
 func (s *Sched) Tokens(account string) float64 {
-	b, ok := s.accounts[account]
-	if !ok {
+	b := s.bucketNamed(account)
+	if b == nil {
 		return 0
 	}
 	return b.Tokens(s.env.Now())
+}
+
+// intern returns the index of the named account, adding it if new.
+func (s *Sched) intern(account string) int32 {
+	if i, ok := s.acctIdx[account]; ok {
+		return i
+	}
+	i := int32(len(s.buckets))
+	s.acctIdx[account] = i
+	s.buckets = append(s.buckets, nil)
+	return i
+}
+
+// bucketNamed returns the named account's bucket, or nil if it has no
+// limit.
+func (s *Sched) bucketNamed(account string) *tokenbucket.Bucket {
+	if i, ok := s.acctIdx[account]; ok {
+		return s.buckets[i]
+	}
+	return nil
 }
 
 // Attach implements core.Scheduler.
@@ -145,29 +172,31 @@ func (s *Sched) Attach(k *core.Kernel) {
 	})
 }
 
-// accountOf resolves the token account of a pid via the process table.
-func (s *Sched) accountOf(pid causes.PID) string {
+// accountOf resolves the token account index of a pid via the process
+// table; noAccount if the pid bills none.
+func (s *Sched) accountOf(pid causes.PID) int32 {
 	if a, ok := s.pidAccount[pid]; ok {
 		return a
 	}
-	a := ""
-	if pr, ok := s.k.VFS.Process(pid); ok {
-		a = pr.Ctx.Account
+	a := int32(noAccount)
+	if pr, ok := s.k.VFS.Process(pid); ok && pr.Ctx.Account != "" {
+		a = s.intern(pr.Ctx.Account)
 	}
 	s.pidAccount[pid] = a
 	return a
 }
 
-// bucketOf returns the bucket for the first billable cause, if any.
-func (s *Sched) bucketOf(cs causes.Set) (*tokenbucket.Bucket, string) {
+// bucketOf returns the bucket and account index for the first billable
+// cause, if any.
+func (s *Sched) bucketOf(cs causes.Set) (*tokenbucket.Bucket, int32) {
 	for _, pid := range cs.PIDs() {
-		if a := s.accountOf(pid); a != "" {
-			if b, ok := s.accounts[a]; ok {
+		if a := s.accountOf(pid); a != noAccount {
+			if b := s.buckets[a]; b != nil {
 				return b, a
 			}
 		}
 	}
-	return nil, ""
+	return nil, noAccount
 }
 
 // --- Memory level: prompt preliminary charging ---
@@ -187,18 +216,24 @@ func (s *Sched) bufferDirty(ino, idx int64, now causes.Set, prev causes.Set) {
 	b.Charge(s.env.Now(), amt)
 	//splitlint:ignore floatdet reviewed: diagnostic total of exactly-rounded charges in deterministic order
 	s.statPrelim += amt
-	s.prelim[pageKey{ino, idx}] = prelimCharge{account: acct, amount: amt}
+	pages := s.prelim[ino]
+	if pages == nil {
+		pages = make(map[int64]prelimCharge)
+		s.prelim[ino] = pages
+	}
+	n := len(pages)
+	pages[idx] = prelimCharge{acct: acct, amount: amt}
+	s.nPrelim += len(pages) - n
 }
 
 func (s *Sched) bufferFree(ino, idx int64, cs causes.Set) {
-	key := pageKey{ino, idx}
-	if pc, ok := s.prelim[key]; ok {
-		if b, ok := s.accounts[pc.account]; ok {
-			b.Refund(s.env.Now(), pc.amount)
-			//splitlint:ignore floatdet reviewed: diagnostic total of exactly-rounded refunds in deterministic order
-			s.statRefunds += pc.amount
-		}
-		delete(s.prelim, key)
+	pages := s.prelim[ino]
+	if pc, ok := pages[idx]; ok {
+		s.buckets[pc.acct].Refund(s.env.Now(), pc.amount)
+		//splitlint:ignore floatdet reviewed: diagnostic total of exactly-rounded refunds in deterministic order
+		s.statRefunds += pc.amount
+		delete(pages, idx)
+		s.nPrelim--
 	}
 	s.est.Forget(ino)
 }
@@ -209,12 +244,11 @@ func (s *Sched) throttleSyscall(p *sim.Proc, c *ioctx.Ctx) {
 	if c.Class != block.ClassIdle {
 		s.lastFg = s.env.Now()
 	}
-	a := c.Account
-	if a == "" {
+	if c.Account == "" {
 		return
 	}
-	b, ok := s.accounts[a]
-	if !ok {
+	b := s.bucketNamed(c.Account)
+	if b == nil {
 		return
 	}
 	for !b.Positive(p.Now()) {
@@ -345,19 +379,20 @@ func (s *Sched) Completed(r *block.Request) {
 	// Writes: subtract what the preliminary model already charged for
 	// these pages, then charge the remainder (possibly a refund).
 	var prelimSum float64
-	prelimAccount := ""
+	prelimAcct := int32(noAccount)
+	pages := s.prelim[r.FileID]
 	for _, idx := range r.Pages {
-		key := pageKey{r.FileID, idx}
-		if pc, ok := s.prelim[key]; ok {
+		if pc, ok := pages[idx]; ok {
 			//splitlint:ignore floatdet reviewed: sums charges recorded in deterministic page order; exactly-rounded
 			prelimSum += pc.amount
-			prelimAccount = pc.account
-			delete(s.prelim, key)
+			prelimAcct = pc.acct
+			delete(pages, idx)
+			s.nPrelim--
 		}
 	}
 	b, _ := s.bucketOf(r.Causes)
-	if b == nil && prelimAccount != "" {
-		b = s.accounts[prelimAccount]
+	if b == nil && prelimAcct != noAccount {
+		b = s.buckets[prelimAcct]
 	}
 	if b == nil {
 		return

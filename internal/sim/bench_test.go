@@ -1,10 +1,11 @@
 // Microbenchmarks for the DES kernel's two hot paths: the event heap
-// (schedule/pop with no processes) and the process handoff (the
-// two-goroutine park/resume a sim.Env.Go process pays on every blocking
-// call; kernel daemons are run-to-completion handlers and never pay it).
-// `make microbench` runs these after TestScheduleRunZeroAllocs, the
-// deterministic gate on the bare loop. The full stack's speed is measured
-// end to end by _perfbench (see _perfbench/README.md).
+// (schedule/pop with no processes) and the process switch (the coroutine
+// park/resume a sim.Env.Go process pays on every blocking call; kernel
+// daemons are run-to-completion handlers and never pay it). `make
+// microbench` runs these after TestScheduleRunZeroAllocs and
+// TestProcSwitchZeroAllocs, the deterministic gates on the bare loop and
+// the switch. The full stack's speed is measured end to end by _perfbench
+// (see _perfbench/README.md).
 package sim_test
 
 import (
@@ -56,8 +57,9 @@ func BenchmarkEventHeapDepth(b *testing.B) {
 	env.Run(sim.Time(time.Hour / 2))
 }
 
-// BenchmarkCoroutineSwitch measures the park/resume handoff: one process
-// sleeping b.N times, two goroutine context switches per sleep.
+// BenchmarkCoroutineSwitch measures the park/resume switch: one process
+// sleeping b.N times, one event plus a coroutine switch in and out per
+// sleep.
 func BenchmarkCoroutineSwitch(b *testing.B) {
 	env := sim.NewEnv(1)
 	defer env.Close()

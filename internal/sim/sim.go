@@ -1,3 +1,9 @@
+//go:build go1.23
+
+// The constraint gives this file the Go 1.23 language version that iter.Pull
+// needs. go.mod stays at go 1.22: raising it would make every build of the
+// benchmark module, which requires this one, rewrite that module's go.mod.
+
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel drives a virtual clock and an ordered event queue. Two kinds of
@@ -9,12 +15,14 @@
 //     costs no context switches. All kernel daemons (block dispatcher,
 //     pdflush, journal commit, FTL GC) run this way.
 //
-//   - Cooperative processes (Proc): goroutines with blocking control flow
+//   - Cooperative processes (Proc): coroutines with blocking control flow
 //     (Sleep, Wait, WaitTimeout) for workload and application code.
 //     Exactly one process (or handler) runs at a time; control returns to
-//     the event loop whenever a process sleeps or blocks. Each park/resume
-//     costs two goroutine context switches — which is why hot kernel paths
-//     are handlers, not Procs.
+//     the event loop whenever a process sleeps or blocks. Each process is an
+//     iter.Pull coroutine, so a park/resume is a direct runtime coroutine
+//     switch that bypasses the Go scheduler and allocates nothing. It still
+//     costs a few hundred nanoseconds where a handler costs none, which is
+//     why hot kernel paths are handlers, not Procs.
 //
 // Events scheduled for the same instant fire in scheduling order, so runs
 // are fully deterministic regardless of which kind of code scheduled them.
@@ -29,6 +37,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"time"
 )
@@ -68,9 +77,9 @@ const eventSlabSize = 256
 type Stats struct {
 	// Events is the number of events popped and executed.
 	Events int64
-	// Switches counts process handoffs (each one costs two goroutine context
-	// switches in the coroutine engine). Run-to-completion handlers never
-	// switch, so on converted kernel paths this stays near zero.
+	// Switches counts process resumes (each one is a coroutine switch into
+	// the process and back). Run-to-completion handlers never switch, so on
+	// converted kernel paths this stays near zero.
 	Switches int64
 	// HeapMax is the event-heap depth high-water mark.
 	HeapMax int
@@ -87,7 +96,6 @@ type Env struct {
 	seq    int64
 	rng    *rand.Rand
 	procs  []*Proc
-	park   chan struct{} //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
 	cur    *Proc
 	closed bool
 	obs    func(at Time)
@@ -97,10 +105,7 @@ type Env struct {
 // NewEnv returns a new environment whose clock starts at zero and whose
 // random stream is seeded with seed.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		rng:  rand.New(rand.NewSource(seed)),
-		park: make(chan struct{}), //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
-	}
+	return &Env{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -235,12 +240,18 @@ func (e *Env) ScheduleAt(at Time, fn func()) {
 // procKilled is the panic sentinel used to unwind killed processes.
 type procKilled struct{}
 
-// Proc is a simulated process: a goroutine that runs cooperatively under the
-// environment's event loop.
+// Proc is a simulated process: a coroutine that runs cooperatively under
+// the environment's event loop. The event loop resumes it with next and it
+// parks with yield; both are iter.Pull's direct coroutine switch, so exactly
+// one of the two sides runs at any instant.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{} //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
+	env   *Env
+	name  string
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	// wake resumes the process from an event; it is built once in Go so a
+	// park/wake round trip allocates nothing.
+	wake   func()
 	dead   bool
 	killed bool
 	// blocked reports whether the proc is parked awaiting an external
@@ -259,29 +270,29 @@ func (p *Proc) Now() Time { return p.env.now }
 
 // Go spawns a new process that starts running at the current virtual time.
 // The process body runs cooperatively: it holds the simulation until it
-// sleeps, waits, or returns.
+// sleeps, waits, or returns. A panic in the body (other than the unwinding
+// of a killed process) comes back out of the Run or RunAll call that
+// resumed it, annotated with the process name.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})} //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
-	e.procs = append(e.procs, p)
-	go func() { //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
-		<-p.resume //splitlint:ignore nogoroutine proc goroutine blocks here until runProc hands it the single execution token
+	p := &Proc{env: e, name: name}
+	p.wake = func() { e.runProc(p) }
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			p.dead = true
 			if r := recover(); r != nil {
 				if _, ok := r.(procKilled); !ok {
-					// Re-panicking here would crash a bare goroutine with no
-					// useful trace back to the simulation; annotate instead.
 					panic(fmt.Sprintf("sim: process %q panicked: %v", name, r))
 				}
 			}
-			e.park <- struct{}{} //splitlint:ignore nogoroutine hand the execution token back to the event loop on proc exit
 		}()
 		if p.killed {
 			panic(procKilled{})
 		}
 		fn(p)
-	}()
-	e.Schedule(0, func() { e.runProc(p) })
+	})
+	e.procs = append(e.procs, p)
+	e.Schedule(0, p.wake)
 	return p
 }
 
@@ -293,15 +304,13 @@ func (e *Env) runProc(p *Proc) {
 	prev := e.cur
 	e.cur = p
 	e.stats.Switches++
-	p.resume <- struct{}{} //splitlint:ignore nogoroutine,hotpurity hand the single execution token to p; this IS the coroutine mechanism the purity contract protects
-	<-e.park               //splitlint:ignore nogoroutine,hotpurity wait until p parks; exactly one runnable goroutine, so the handoff cannot deadlock
+	p.next()
 	e.cur = prev
 }
 
 // block parks the calling process until something calls env.runProc on it.
 func (p *Proc) block() {
-	p.env.park <- struct{}{} //splitlint:ignore nogoroutine park: return the execution token to the event loop
-	<-p.resume               //splitlint:ignore nogoroutine sleep until the event loop hands the token back
+	p.yield(struct{}{})
 	if p.killed {
 		panic(procKilled{})
 	}
@@ -314,8 +323,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		// events scheduled for this instant may run.
 		d = 0
 	}
-	e := p.env
-	e.Schedule(d, func() { e.runProc(p) })
+	p.env.Schedule(d, p.wake)
 	p.block()
 }
 
@@ -330,7 +338,7 @@ func (p *Proc) Kill() {
 	}
 	p.killed = true
 	if p != p.env.cur {
-		p.env.Schedule(0, func() { p.env.runProc(p) })
+		p.env.Schedule(0, p.wake)
 	}
 }
 
@@ -491,7 +499,7 @@ func (q *WaitQueue) Signal() {
 	w.fired = true
 	w.sig = true
 	if w.p != nil {
-		q.env.Schedule(0, func() { q.env.runProc(w.p) })
+		q.env.Schedule(0, w.p.wake)
 		return
 	}
 	q.env.Schedule(0, func() { w.fn(true) })
@@ -542,8 +550,7 @@ func (c *Completion) Complete() {
 	c.fns = nil
 	for _, w := range c.q {
 		if w.p != nil {
-			proc := w.p
-			c.env.Schedule(0, func() { c.env.runProc(proc) })
+			c.env.Schedule(0, w.p.wake)
 			continue
 		}
 		c.env.Schedule(0, w.fn)

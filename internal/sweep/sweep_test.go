@@ -19,8 +19,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"splitio/internal/exp"
+	"splitio/internal/sim"
 	"splitio/internal/sweep"
 )
 
@@ -68,6 +70,36 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		var payload struct{ Cell, Sq int }
 		if err := json.Unmarshal(r.Data, &payload); err != nil || payload.Cell != i || payload.Sq != i*i {
 			t.Fatalf("cell %d: payload %q out of order or corrupt", i, r.Data)
+		}
+	}
+}
+
+// TestPanickingProcSurfacesAsError runs a cell whose simulation has a
+// process that panics: the panic leaves the process's coroutine through
+// Env.Run on the worker, so the cell's guard turns it into that cell's
+// error instead of a crash of the whole program.
+func TestPanickingProcSurfacesAsError(t *testing.T) {
+	cells := synthCells(4)
+	cells[2].Run = func() ([]byte, error) {
+		env := sim.NewEnv(1)
+		defer env.Close()
+		env.Go("boom", func(p *sim.Proc) {
+			p.Sleep(time.Millisecond)
+			panic("kaboom")
+		})
+		env.RunAll()
+		return []byte(`{}`), nil
+	}
+	rs := (&sweep.Runner{Workers: 2}).Run(cells)
+	for i, r := range rs {
+		if i == 2 {
+			if r.Err == nil || !strings.Contains(r.Err.Error(), `sim: process "boom" panicked: kaboom`) {
+				t.Errorf("cell 2: err = %v, want the proc's panic", r.Err)
+			}
+			continue
+		}
+		if r.Err != nil {
+			t.Errorf("cell %d: unexpected error %v", i, r.Err)
 		}
 	}
 }
